@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success (including a definite UNREACHABLE verdict), 1 bounded
-search gave UNKNOWN, 2 parse error, 3 fragment precondition violated,
-4 I/O failure.
+search gave UNKNOWN, 2 parse error or invalid argument, 3 fragment
+precondition violated, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -24,6 +24,12 @@ EXIT_IO = 4
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
         return handle.read()
+
+
+def _natural(value: int, flag: str) -> int:
+    if value < 0:
+        raise ValueError(f"{flag} must be a natural number, got {value}")
+    return value
 
 
 def _limits(args) -> reachability.ExplorationLimits:
@@ -85,10 +91,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    steps = _natural(args.steps, "--steps")
     contract = syntax.parse(_read(args.file))
-    trace = semantics.run_random(
-        contract, args.steps, args.seed, semantics.Mode.of(args.mode)
-    )
+    trace = semantics.run_random(contract, steps, args.seed, semantics.Mode.of(args.mode))
     if args.json:
         print(semantics.trace_json(trace))
     else:
@@ -155,8 +160,9 @@ def _cmd_encode_minsky(args) -> int:
 
 
 def _cmd_minsky_run(args) -> int:
+    fuel = _natural(args.fuel, "--fuel")
     machine = minsky.parse_minsky(_read(args.file))
-    result = minsky.minsky_run(machine, args.fuel)
+    result = minsky.minsky_run(machine, fuel)
     if isinstance(result, minsky.Halted):
         print(f"Halted({result.r1},{result.r2},{result.steps})")
     else:

@@ -12,7 +12,6 @@ contract lands in every fragment.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .syntax import Contract, StateName
@@ -43,19 +42,15 @@ class FragmentSet:
         return tuple(out)
 
 
-@functools.lru_cache(maxsize=256)
 def init_ev(contract: Contract) -> frozenset[StateName]:
     """The set of initial (source) states of all events in the contract."""
-    return frozenset(ev.source for ev in contract.events())
+    return contract.init_ev
 
 
-@functools.lru_cache(maxsize=256)
 def classify(contract: Contract) -> FragmentSet:
     """Decide membership in the I, TA, and D fragments (DI is derived)."""
-    offsets = [ev.time.offset for ev in contract.events()]
-    function_sources = frozenset(fn.source for fn in contract.functions)
     return FragmentSet(
-        instantaneous=all(k == 0 for k in offsets),
-        time_ahead=all(k > 0 for k in offsets),
-        determinate=not (function_sources & init_ev(contract)),
+        instantaneous=contract.delays <= {0},
+        time_ahead=0 not in contract.delays,
+        determinate=contract.init_ev.isdisjoint(contract.by_source),
     )

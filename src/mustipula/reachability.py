@@ -22,7 +22,6 @@ contracts, forward-search verdicts (Reachable/Unknown) elsewhere.
 
 from __future__ import annotations
 
-import functools
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
@@ -40,16 +39,17 @@ from .semantics import (
     Trace,
     TraceStep,
     initial_config,
-    lower,
     successors,
 )
-from .syntax import ClauseId, Contract, FunctionDecl, StateName
+from .syntax import ClauseId, Contract, StateName
 
 
 @dataclass(frozen=True)
 class ExplorationLimits:
-    """Caps for the forward search: visited configurations, ticks along a
-    path, and pending-multiset size.  All strictly positive."""
+    """Caps for the forward search: visited configurations, ticks along the
+    first BFS path to a configuration, and pending-multiset size.  All
+    strictly positive.  `explore` never revisits a configuration by a later
+    path with fewer ticks; that is sound, as it can only add UNKNOWNs."""
 
     max_configs: int = 1_000_000
     max_clock: int = 1_000
@@ -91,7 +91,7 @@ class Verdict:
 def config_leq(a: Configuration, b: Configuration) -> bool:
     """The well-quasi-ordering on configurations: equal state, equal sigma,
     and a's pending multiset included in b's.  Clocks are ignored."""
-    if a.contract != b.contract:
+    if a.contract is not b.contract and a.contract != b.contract:
         raise DifferentContractsError("configurations belong to different contracts")
     return a.state == b.state and a.sigma == b.sigma and a.psi.issubmultiset(b.psi)
 
@@ -105,11 +105,6 @@ class CoverBasis:
 
     def covers(self, cfg: Configuration) -> bool:
         return any(config_leq(b, cfg) for b in self.elements)
-
-    def same_upset(self, other: "CoverBasis") -> bool:
-        return all(self.covers(e) for e in other.elements) and all(
-            other.covers(e) for e in self.elements
-        )
 
 
 def minimize_basis(configs: Iterable[Configuration]) -> CoverBasis:
@@ -129,13 +124,10 @@ def minimize_basis(configs: Iterable[Configuration]) -> CoverBasis:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=4096)
-def _lowered(fn: FunctionDecl) -> PendingSet:
-    return lower(fn.body)
-
-
 def _canon(cfg: Configuration) -> Configuration:
-    return cfg if cfg.clock == 0 else cfg.replace(clock=0)
+    if cfg.clock == 0:
+        return cfg
+    return Configuration(cfg.contract, cfg.state, cfg.sigma, cfg.psi, 0)
 
 
 def _require_di(contract: Contract):
@@ -166,53 +158,34 @@ def pred_basis(contract: Contract, target: Configuration) -> frozenset[Configura
     preds = set()
     if t.sigma is not None:
         body_events, body_target = t.sigma
-        for fn in contract.functions:
-            if (
-                fn.source == t.state
-                and fn.target == body_target
-                and _lowered(fn) == body_events
-            ):
+        for fn in contract.by_source.get(t.state, ()):
+            if fn.target == body_target and fn.lowered == body_events:
                 preds.add(Configuration(contract, t.state, None, t.psi, 0))
         if not body_events:
             for ev in contract.events():
-                if (
-                    ev.time.offset == 0
-                    and ev.source == t.state
-                    and ev.target == body_target
-                ):
-                    inst = PendingEvent(0, ev.line, ev.source, ev.target)
-                    preds.add(
-                        Configuration(contract, t.state, None, t.psi.union([inst]), 0)
-                    )
+                if ev.source == t.state and ev.target == body_target:
+                    psi = t.psi.union([PendingEvent(0, ev.line, ev.source, ev.target)])
+                    preds.add(Configuration(contract, t.state, None, psi, 0))
     else:
         for fn in contract.functions:
             if fn.target == t.state:
-                low = _lowered(fn)
-                preds.add(
-                    Configuration(
-                        contract, fn.source, Body(low, fn.target), t.psi.minus(low), 0
-                    )
-                )
+                body = Body(fn.lowered, fn.target)
+                preds.add(Configuration(contract, fn.source, body, t.psi.minus(fn.lowered), 0))
         for ev in contract.events():
-            if ev.time.offset == 0 and ev.target == t.state:
-                preds.add(
-                    Configuration(contract, ev.source, Body(EMPTY_PSI, t.state), t.psi, 0)
-                )
+            if ev.target == t.state:
+                body = Body(EMPTY_PSI, t.state)
+                preds.add(Configuration(contract, ev.source, body, t.psi, 0))
         if not t.psi and t.state not in fragments.init_ev(contract):
             preds.add(Configuration(contract, t.state, None, EMPTY_PSI, 0))
     return frozenset(preds)
 
 
 def _validate_target(contract: Contract, target: Configuration):
-    if target.contract != contract:
+    if target.contract is not contract and target.contract != contract:
         raise DifferentContractsError("target belongs to a different contract")
     if target.sigma is not None:
         raise ValueError("coverability targets must have an empty continuation")
-    declared = {
-        PendingEvent(0, ev.line, ev.source, ev.target)
-        for ev in contract.events()
-        if ev.time.offset == 0
-    }
+    declared = {PendingEvent(0, ev.line, ev.source, ev.target) for ev in contract.events()}
     for inst in target.psi:
         if inst not in declared:
             raise ValueError(f"target pending event {inst} is not declared in the contract")
@@ -295,7 +268,8 @@ def explore(
     start: Configuration | None = None,
 ) -> tuple[Exploration, int | None]:
     """BFS from the initial configuration (or `start`) with the clock
-    canonicalized to 0 and a visited set over (state, sigma, psi).
+    canonicalized to 0 and a visited set over (state, sigma, psi); ticks
+    count along the first path that reaches each configuration.
     Successors expand in lexicographic label order, so witnesses are
     deterministic.  Returns the exploration and, when `target_state` is
     given and some visited configuration has that state with an empty

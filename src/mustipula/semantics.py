@@ -27,7 +27,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-from . import fragments
 from .syntax import Contract, EventDecl, StateName
 
 
@@ -102,17 +101,6 @@ class Configuration:
     sigma: Continuation = None
     psi: PendingSet = EMPTY_PSI
     clock: int = 0
-
-    def replace(self, **changes) -> "Configuration":
-        fields = dict(
-            contract=self.contract,
-            state=self.state,
-            sigma=self.sigma,
-            psi=self.psi,
-            clock=self.clock,
-        )
-        fields.update(changes)
-        return Configuration(**fields)
 
 
 @dataclass(frozen=True)
@@ -189,31 +177,31 @@ def successors(cfg: Configuration, mode: Mode = Mode.TICK) -> list[tuple[Label, 
     """All enabled one-step transitions from `cfg`, in a fixed order:
     firable events by line-code, then functions in declaration order, then
     the tick.  A non-empty sigma yields exactly one state-change."""
+    contract, state, psi, clock = cfg.contract, cfg.state, cfg.psi, cfg.clock
     if cfg.sigma is not None:
-        new_psi = cfg.psi.union(cfg.sigma.events)
-        nxt = cfg.replace(state=cfg.sigma.target, sigma=None, psi=new_psi)
+        body_events, target = cfg.sigma
+        nxt = Configuration(contract, target, None, psi.union(body_events), clock)
         return [(Label("statechange"), nxt)]
 
     out = []
     firable = sorted(
-        {ev for ev in cfg.psi if ev.delay == 0 and ev.source == cfg.state},
+        {ev for ev in psi if ev.delay == 0 and ev.source == state},
         key=lambda ev: ev.line,
     )
     for ev in firable:
-        nxt = cfg.replace(sigma=Body(EMPTY_PSI, ev.target), psi=cfg.psi.remove_one(ev))
+        sigma = Body(EMPTY_PSI, ev.target)
+        nxt = Configuration(contract, state, sigma, psi.remove_one(ev), clock)
         out.append((Label("event", line=ev.line), nxt))
     if firable:
         # Firable events preempt function invocation and time progression.
         return out
 
-    for fn in cfg.contract.functions:
-        if fn.source == cfg.state:
-            nxt = cfg.replace(sigma=Body(lower(fn.body), fn.target))
-            out.append((Label("call", name=fn.name), nxt))
+    for fn in contract.by_source.get(state, ()):
+        nxt = Configuration(contract, state, Body(fn.lowered, fn.target), psi, clock)
+        out.append((Label("call", name=fn.name), nxt))
 
-    tick_ok = mode is Mode.TICK or cfg.state not in fragments.init_ev(cfg.contract)
-    if tick_ok:
-        nxt = cfg.replace(psi=decrement(cfg.psi), clock=cfg.clock + 1)
+    if mode is Mode.TICK or state not in contract.init_ev:
+        nxt = Configuration(contract, state, None, decrement(psi), clock + 1)
         out.append((Label("tick"), nxt))
     return out
 

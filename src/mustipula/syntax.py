@@ -13,6 +13,7 @@ line.  Contracts built programmatically get fresh line-codes from
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Iterator
@@ -61,14 +62,52 @@ class FunctionDecl:
     body: tuple[EventDecl, ...]
     target: StateName
 
+    @functools.cached_property
+    def lowered(self):
+        """The body as the pending multiset an invocation schedules."""
+        from .semantics import lower
+
+        return lower(self.body)
+
 
 @dataclass(frozen=True)
 class Contract:
-    """A contract: name, initial state, and a sequence of function clauses."""
+    """A contract: name, initial state, and a sequence of function clauses.
+
+    The cached properties below are facts derived from the clauses in one
+    pass on first use.  They are stored on the instance and take no part in
+    equality or hashing.
+    """
 
     name: str
     init: StateName
     functions: tuple[FunctionDecl, ...]
+
+    @functools.cached_property
+    def by_source(self) -> dict[StateName, tuple[FunctionDecl, ...]]:
+        """The functions leaving each state, in declaration order."""
+        out: dict[StateName, list[FunctionDecl]] = {}
+        for fn in self.functions:
+            out.setdefault(fn.source, []).append(fn)
+        return {state: tuple(fns) for state, fns in out.items()}
+
+    @functools.cached_property
+    def events_by_line(self) -> dict[int, EventDecl]:
+        """Each line-code's event; the first declaration wins a clash."""
+        out: dict[int, EventDecl] = {}
+        for ev in self.events():
+            out.setdefault(ev.line, ev)
+        return out
+
+    @functools.cached_property
+    def init_ev(self) -> frozenset[StateName]:
+        """InitEv: the source states of all events."""
+        return frozenset(ev.source for ev in self.events())
+
+    @functools.cached_property
+    def delays(self) -> frozenset[int]:
+        """The time offsets of all events."""
+        return frozenset(ev.time.offset for ev in self.events())
 
     def events(self) -> Iterator[EventDecl]:
         """All event declarations, in declaration order."""
@@ -87,10 +126,7 @@ class Contract:
         return frozenset(out)
 
     def event_at_line(self, line: int) -> EventDecl | None:
-        for ev in self.events():
-            if ev.line == line:
-                return ev
-        return None
+        return self.events_by_line.get(line)
 
 
 @dataclass(frozen=True)

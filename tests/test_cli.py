@@ -145,6 +145,14 @@ def test_minsky_run_out_of_fuel(files, capsys):
     assert capsys.readouterr().out == "OutOfFuel\n"
 
 
+def test_negative_steps_and_fuel_exit_two(files, capsys):
+    for argv in (["run", files["sample"], "--steps", "-3"],
+                 ["minsky-run", files["machine"], "--fuel", "-5"]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_minsky_parse_error_exit_two(files, capsys):
     bad = files["dir"] / "bad.minsky"
     bad.write_text("init Q0\nfinal QF\nQ0: inc r3 QF\n")

@@ -49,6 +49,8 @@ def test_config_leq_ignores_clock_and_compares_sigma():
 def test_config_leq_rejects_different_contracts():
     with pytest.raises(DifferentContractsError):
         mu.config_leq(_cfg(sample(), "Go"), _cfg(pingpong(), "Go"))
+    # Equal contracts parsed twice are the same contract.
+    assert mu.config_leq(_cfg(sample(), "Go"), _cfg(sample(), "Go"))
 
 
 def test_minimize_basis_examples():
@@ -110,6 +112,8 @@ def test_decide_coverable_sample():
     assert mu.decide_coverable(c, mu.state_target(c, "Run"))
     assert mu.decide_coverable(c, mu.state_target(c, "Go"))
     assert mu.decide_coverable(c, mu.state_target(c, "Init"))
+    assert mu.decide_coverable(c, mu.state_target(sample(), "Run"))
+    assert not mu.decide_coverable(c, mu.event_target(sample(), 4))
 
 
 def test_decide_coverable_chain():

@@ -37,6 +37,12 @@ def test_parse_sample():
     f, g = c.functions
     assert f.name == "f" and len(f.body) == 1 and f.body[0].line == 4
     assert g.name == "g" and g.body == ()
+    # The cached facts take no part in equality or hashing.
+    assert c.by_source == {"Init": (f, g)} and c.events_by_line == {4: f.body[0]}
+    assert c.init_ev == {"Go"} and c.delays == {0} and len(f.lowered) == 1
+    fresh = sample()
+    assert "by_source" in vars(c) and "by_source" not in vars(fresh)
+    assert c == fresh and hash(c) == hash(fresh)
 
 
 def test_parse_accepts_at_prefixed_init():
@@ -130,7 +136,9 @@ def test_renumber_assigns_fresh_distinct_lines():
 
 def test_validate_rejects_clashing_line_codes():
     ev = EventDecl(TimeExpr(0), "A", "B", 7)
-    raw = Contract("E", "Q", (FunctionDecl("Q", "f", (ev, ev), "R"),))
+    clash = EventDecl(TimeExpr(2), "C", "D", 7)
+    raw = Contract("E", "Q", (FunctionDecl("Q", "f", (ev, clash, ev), "R"),))
+    assert raw.event_at_line(7) is ev  # the first declaration wins
     with pytest.raises(InvalidContractError):
         mu.validate(raw)
 
