@@ -132,7 +132,9 @@ def _cmd_decide(args) -> int:
 
 def _cmd_unreachable(args) -> int:
     contract = syntax.parse(_read(args.file))
-    verdicts = reachability.unreachable_clauses(contract, _limits(args))
+    verdicts = reachability.unreachable_clauses(
+        contract, _limits(args), semantics.Mode.of(args.mode)
+    )
     ordered = sorted(
         verdicts.items(), key=lambda item: (item[0].kind, item[0].label, item[0].source)
     )
@@ -211,6 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
     _add_limit_flags(p)
+    _add_mode_flag(p)
     p.set_defaults(fn=_cmd_unreachable)
 
     p = sub.add_parser("encode-minsky", help="compile a counter machine to a contract")

@@ -26,7 +26,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from . import fragments
 from .errors import DifferentContractsError, NotDIError
 from .semantics import (
     EMPTY_PSI,
@@ -96,27 +95,78 @@ def config_leq(a: Configuration, b: Configuration) -> bool:
     return a.state == b.state and a.sigma == b.sigma and a.psi.issubmultiset(b.psi)
 
 
-@dataclass(frozen=True)
-class CoverBasis:
-    """A finite antichain of minimal configurations denoting the
-    upward-closed set that is the union of their upward cones."""
+class _Element:
+    """A basis element, with its pending multiset as counts."""
 
-    elements: frozenset[Configuration]
+    __slots__ = ("cfg", "counts", "size", "live")
+
+    def __init__(self, cfg: Configuration):
+        self.cfg = cfg
+        self.size = len(cfg.psi)
+        self.counts: dict[PendingEvent, int] = {}
+        for ev in cfg.psi:
+            self.counts[ev] = self.counts.get(ev, 0) + 1
+        self.live = True  # false once a smaller element replaces it
+
+    def leq(self, other: "_Element") -> bool:
+        """Pending-multiset inclusion, in time linear in this multiset."""
+        if self.size > other.size:
+            return False
+        big = other.counts
+        return all(big.get(ev, 0) >= n for ev, n in self.counts.items())
+
+
+class CoverBasis:
+    """A finite antichain of minimal configurations of one contract,
+    denoting the upward-closed set that is the union of their upward cones.
+
+    Elements are bucketed by (state, sigma), since `config_leq` is false
+    across buckets; within a bucket, pending multisets are compared by count
+    inclusion.  Clocks are ignored, as in `config_leq`."""
+
+    def __init__(self, elements: Iterable[Configuration] = ()):
+        self._contract: Contract | None = None
+        self._buckets: dict[tuple, list[_Element]] = {}
+        for cfg in elements:
+            self.add(cfg)
+
+    @property
+    def elements(self) -> frozenset[Configuration]:
+        return frozenset(e.cfg for bucket in self._buckets.values() for e in bucket)
+
+    def _bucket(self, cfg: Configuration) -> list[_Element]:
+        if self._contract is None:
+            self._contract = cfg.contract
+        elif cfg.contract is not self._contract and cfg.contract != self._contract:
+            raise DifferentContractsError("configurations belong to different contracts")
+        return self._buckets.get((cfg.state, cfg.sigma), [])
 
     def covers(self, cfg: Configuration) -> bool:
-        return any(config_leq(b, cfg) for b in self.elements)
+        elem = _Element(cfg)
+        return any(e.leq(elem) for e in self._bucket(cfg))
+
+    def add(self, cfg: Configuration) -> _Element | None:
+        """Add `cfg` unless the set already covers it, dropping the elements
+        it covers.  Returns the new element, whose `live` flag turns false
+        if a smaller element later replaces it, or None."""
+        bucket = self._bucket(cfg)
+        elem = _Element(cfg)
+        if any(e.leq(elem) for e in bucket):
+            return None
+        kept = [elem]
+        for e in bucket:
+            if elem.leq(e):
+                e.live = False
+            else:
+                kept.append(e)
+        self._buckets[cfg.state, cfg.sigma] = kept
+        return elem
 
 
 def minimize_basis(configs: Iterable[Configuration]) -> CoverBasis:
     """Keep only the minimal elements; the denoted upward-closed set is
     unchanged."""
-    elems = list(dict.fromkeys(configs))
-    minimal = [
-        cand
-        for cand in elems
-        if not any(other != cand and config_leq(other, cand) for other in elems)
-    ]
-    return CoverBasis(frozenset(minimal))
+    return CoverBasis(configs)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +181,7 @@ def _canon(cfg: Configuration) -> Configuration:
 
 
 def _require_di(contract: Contract):
-    if not fragments.classify(contract).det_instantaneous:
+    if not contract.fragment_set.det_instantaneous:
         raise NotDIError(
             "the complete procedure requires a determinate-instantaneous contract"
         )
@@ -162,20 +212,17 @@ def pred_basis(contract: Contract, target: Configuration) -> frozenset[Configura
             if fn.target == body_target and fn.lowered == body_events:
                 preds.add(Configuration(contract, t.state, None, t.psi, 0))
         if not body_events:
-            for ev in contract.events():
-                if ev.source == t.state and ev.target == body_target:
-                    psi = t.psi.union([PendingEvent(0, ev.line, ev.source, ev.target)])
-                    preds.add(Configuration(contract, t.state, None, psi, 0))
+            for ev in contract.events_by_edge.get((t.state, body_target), ()):
+                psi = t.psi.union([PendingEvent(0, ev.line, ev.source, ev.target)])
+                preds.add(Configuration(contract, t.state, None, psi, 0))
     else:
-        for fn in contract.functions:
-            if fn.target == t.state:
-                body = Body(fn.lowered, fn.target)
-                preds.add(Configuration(contract, fn.source, body, t.psi.minus(fn.lowered), 0))
-        for ev in contract.events():
-            if ev.target == t.state:
-                body = Body(EMPTY_PSI, t.state)
-                preds.add(Configuration(contract, ev.source, body, t.psi, 0))
-        if not t.psi and t.state not in fragments.init_ev(contract):
+        for fn in contract.by_target.get(t.state, ()):
+            body = Body(fn.lowered, fn.target)
+            preds.add(Configuration(contract, fn.source, body, t.psi.minus(fn.lowered), 0))
+        for ev in contract.events_by_target.get(t.state, ()):
+            body = Body(EMPTY_PSI, t.state)
+            preds.add(Configuration(contract, ev.source, body, t.psi, 0))
+        if not t.psi and t.state not in contract.init_ev:
             preds.add(Configuration(contract, t.state, None, EMPTY_PSI, 0))
     return frozenset(preds)
 
@@ -185,10 +232,73 @@ def _validate_target(contract: Contract, target: Configuration):
         raise DifferentContractsError("target belongs to a different contract")
     if target.sigma is not None:
         raise ValueError("coverability targets must have an empty continuation")
-    declared = {PendingEvent(0, ev.line, ev.source, ev.target) for ev in contract.events()}
     for inst in target.psi:
-        if inst not in declared:
+        if inst not in contract.instances:
             raise ValueError(f"target pending event {inst} is not declared in the contract")
+
+
+class _Backward:
+    """The backward coverability fixpoint for one DI contract.  Predecessor
+    bases and decided state verdicts are kept across targets, so the clause
+    targets of one contract share their work."""
+
+    def __init__(self, contract: Contract):
+        self.contract = contract
+        self.preds: dict[Configuration, frozenset[Configuration]] = {}
+        # State q -> whether (q, --, --) is coverable.
+        self.states: dict[StateName, bool] = {contract.init: True}
+
+    def decide(self, target: Configuration) -> bool:
+        """Whether some reachable configuration dominates `target`.
+
+        Saturates a basis of the upward-closed set of configurations that
+        cover the target with predecessor bases, in breadth-first order,
+        and stops as soon as the set covers a configuration known to be
+        reachable: the initial one, or (q, --, --) for a state q decided
+        coverable.  An element (q, --, psi) whose state is known not
+        coverable stays in the basis for subsumption but is not expanded:
+        nothing in its upward cone is reachable, so nothing in its
+        predecessor closure is either."""
+        target = _canon(target)
+        states = self.states
+        basis = CoverBasis()
+        frontier: deque[_Element] = deque()
+        bare: list[StateName] = []  # the states q of (q, --, --) elements
+
+        def admit(cfg: Configuration) -> bool:
+            """Add `cfg`; true when that settles the target as coverable."""
+            elem = basis.add(cfg)
+            if elem is None:
+                return False
+            known = states.get(cfg.state) if cfg.sigma is None else None
+            if known is False:
+                return False
+            if cfg.sigma is None and not cfg.psi:
+                if known:
+                    return True
+                bare.append(cfg.state)
+            frontier.append(elem)
+            return False
+
+        covered = admit(target)
+        while frontier and not covered:
+            elem = frontier.popleft()
+            if elem.live:
+                covered = any(admit(p) for p in self._preds(elem.cfg))
+        if covered:
+            if not target.psi:
+                states[target.state] = True
+        else:
+            # Every element lies in the target's predecessor closure, which
+            # misses the initial configuration.
+            states.update(dict.fromkeys(bare, False))
+        return covered
+
+    def _preds(self, cfg: Configuration) -> frozenset[Configuration]:
+        preds = self.preds.get(cfg)
+        if preds is None:
+            preds = self.preds[cfg] = pred_basis(self.contract, cfg)
+        return preds
 
 
 def decide_coverable(contract: Contract, target: Configuration) -> bool:
@@ -196,27 +306,13 @@ def decide_coverable(contract: Contract, target: Configuration) -> bool:
     dominates `target` under `config_leq`.
 
     Backward fixpoint: saturate the basis of the upward-closed set with
-    predecessor bases until it stabilizes (guaranteed by the
-    well-quasi-ordering), then test whether it covers the initial
-    configuration.  The verdict holds for both the tick and tick-plus
-    semantics.
+    predecessor bases until it covers the initial configuration or
+    stabilizes (guaranteed by the well-quasi-ordering).  The verdict holds
+    for both the tick and tick-plus semantics.
     """
     _require_di(contract)
     _validate_target(contract, target)
-
-    basis: list[Configuration] = [_canon(target)]
-    frontier = deque(basis)
-    while frontier:
-        t = frontier.popleft()
-        if not any(config_leq(b, t) for b in basis if b != t):
-            for p in pred_basis(contract, t):
-                if any(config_leq(b, p) for b in basis):
-                    continue
-                basis = [b for b in basis if not config_leq(p, b)]
-                basis.append(p)
-                frontier.append(p)
-    init = initial_config(contract)
-    return any(config_leq(b, init) for b in basis)
+    return _Backward(contract).decide(target)
 
 
 def state_target(contract: Contract, state: StateName) -> Configuration:
@@ -339,7 +435,8 @@ def _path_labels(exploration: Exploration, node: int) -> list[Label]:
         if parent is None:
             break
         node, label = parent
-        labels.insert(0, label)
+        labels.append(label)
+    labels.reverse()
     return labels
 
 
@@ -413,18 +510,24 @@ def unreachable_clauses(
     source state is coverable (its `nored` premise is vacuous there, since
     in DI no pending event sits at a function source), and an event is
     reachable iff its source state is coverable together with one pending
-    occurrence of the event.  Other contracts fall back to an instrumented
-    forward search and report Reachable or Unknown only.
+    occurrence of the event.  The DI clause targets share predecessor
+    bases and decided state verdicts.  Other contracts fall back to an
+    instrumented forward search and report Reachable or Unknown only.
     """
     verdicts: dict[ClauseId, Verdict] = {}
-    if fragments.classify(contract).det_instantaneous:
+    if contract.fragment_set.det_instantaneous:
+        backward = _Backward(contract)
         for fn in contract.functions:
-            ok = decide_coverable(contract, state_target(contract, fn.source))
+            ok = backward.decide(state_target(contract, fn.source))
             verdicts[ClauseId.of_function(fn)] = (
                 Verdict.reachable() if ok else Verdict.unreachable()
             )
         for ev in contract.events():
-            ok = decide_coverable(contract, event_target(contract, ev.line))
+            # Deciding the source state first, with shared work, settles
+            # the events of unreachable states at once.
+            ok = backward.decide(state_target(contract, ev.source)) and backward.decide(
+                event_target(contract, ev.line)
+            )
             verdicts[ClauseId.of_event(ev)] = (
                 Verdict.reachable() if ok else Verdict.unreachable()
             )

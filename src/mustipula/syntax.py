@@ -70,6 +70,14 @@ class FunctionDecl:
         return lower(self.body)
 
 
+def _group(items, key) -> dict:
+    """Items by key, each group in the items' order."""
+    out: dict = {}
+    for item in items:
+        out.setdefault(key(item), []).append(item)
+    return {k: tuple(group) for k, group in out.items()}
+
+
 @dataclass(frozen=True)
 class Contract:
     """A contract: name, initial state, and a sequence of function clauses.
@@ -86,10 +94,36 @@ class Contract:
     @functools.cached_property
     def by_source(self) -> dict[StateName, tuple[FunctionDecl, ...]]:
         """The functions leaving each state, in declaration order."""
-        out: dict[StateName, list[FunctionDecl]] = {}
-        for fn in self.functions:
-            out.setdefault(fn.source, []).append(fn)
-        return {state: tuple(fns) for state, fns in out.items()}
+        return _group(self.functions, lambda fn: fn.source)
+
+    @functools.cached_property
+    def by_target(self) -> dict[StateName, tuple[FunctionDecl, ...]]:
+        """The functions entering each state, in declaration order."""
+        return _group(self.functions, lambda fn: fn.target)
+
+    @functools.cached_property
+    def events_by_target(self) -> dict[StateName, tuple[EventDecl, ...]]:
+        """The events entering each state, in declaration order."""
+        return _group(self.events(), lambda ev: ev.target)
+
+    @functools.cached_property
+    def events_by_edge(self) -> dict[tuple[StateName, StateName], tuple[EventDecl, ...]]:
+        """The events of each (source, target) pair, in declaration order."""
+        return _group(self.events(), lambda ev: (ev.source, ev.target))
+
+    @functools.cached_property
+    def instances(self) -> frozenset:
+        """Each declared event as a pending occurrence at delay 0."""
+        from .semantics import PendingEvent
+
+        return frozenset(PendingEvent(0, ev.line, ev.source, ev.target) for ev in self.events())
+
+    @functools.cached_property
+    def fragment_set(self):
+        """The fragments the contract belongs to (`fragments.classify`)."""
+        from . import fragments
+
+        return fragments.classify(self)
 
     @functools.cached_property
     def events_by_line(self) -> dict[int, EventDecl]:

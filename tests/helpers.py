@@ -168,9 +168,11 @@ def wf_configs(contract: Contract, max_psi: int) -> list[Configuration]:
     return configs
 
 
-def coverability_fixpoint_pairs(contract: Contract, target: Configuration):
-    """Replicate the backward fixpoint, yielding every (target, predecessor)
-    pair pred_basis produced along the way."""
+def _reference_fixpoint(contract: Contract, target: Configuration):
+    """The backward fixpoint as the engine first ran it: a flat basis list,
+    rescanned for every popped target and every predecessor, saturated to
+    the end.  Returns the final basis and every (target, predecessor) pair
+    pred_basis produced along the way."""
     basis = [target]
     frontier = deque(basis)
     pairs = []
@@ -185,7 +187,21 @@ def coverability_fixpoint_pairs(contract: Contract, target: Configuration):
             basis = [b for b in basis if not mu.config_leq(p, b)]
             basis.append(p)
             frontier.append(p)
-    return pairs
+    return basis, pairs
+
+
+def coverability_fixpoint_pairs(contract: Contract, target: Configuration):
+    """Replicate the backward fixpoint, yielding every (target, predecessor)
+    pair pred_basis produced along the way."""
+    return _reference_fixpoint(contract, target)[1]
+
+
+def reference_decide_coverable(contract: Contract, target: Configuration) -> bool:
+    """The reference verdict: whether the saturated flat basis covers the
+    initial configuration."""
+    basis, _ = _reference_fixpoint(contract, target)
+    init = mu.initial_config(contract)
+    return any(mu.config_leq(b, init) for b in basis)
 
 
 def all_clause_targets(contract: Contract) -> list[Configuration]:

@@ -121,6 +121,16 @@ def test_unreachable_json(files, capsys):
     assert all("witness" in entry for entry in payload)
 
 
+def test_unreachable_mode_tickplus(files, capsys):
+    # PingPong is not DI, so the forward search answers.  Under tick-plus no
+    # time passes in the event source Q1, so ev_4 never falls due.
+    assert main(["unreachable", files["pingpong"], "--mode", "tickplus"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "Q0 ping Q1: reachable" in lines
+    assert "Q1 ev_4 Q2: unknown" in lines
+    assert "Q2 pong Q3: unknown" in lines
+
+
 def test_encode_minsky_roundtrip(files, capsys):
     out = files["dir"] / "enc.stipula"
     assert main(["encode-minsky", files["machine"], "--fragment", "ta", "-o", str(out)]) == 0

@@ -5,6 +5,7 @@ import pytest
 import mustipula as mu
 from mustipula.errors import DifferentContractsError, NotDIError
 from mustipula.semantics import EMPTY_PSI, Body, Configuration, Mode, PendingEvent, PendingSet
+from mustipula.syntax import ClauseId
 
 from helpers import (
     all_clause_targets,
@@ -13,6 +14,8 @@ from helpers import (
     di_corpus,
     pingpong,
     psis_upto,
+    random_di_contract,
+    reference_decide_coverable,
     sample,
     submultisets,
     wf_configs,
@@ -21,6 +24,29 @@ from helpers import (
 
 CORPUS = di_corpus(60)
 LIMITS = mu.ExplorationLimits(50_000, 200, 6)
+
+
+def _differential_corpus():
+    """The full generated corpus plus the first 40 contracts of the
+    `backward_di` benchmark corpus, which are larger."""
+    rng = random.Random(7)
+    heavy = [
+        random_di_contract(rng, max_states=8, max_clauses=16, max_events=8) for _ in range(40)
+    ]
+    return di_corpus() + heavy
+
+
+def _count_pred_basis(monkeypatch) -> list[Configuration]:
+    """Record the target of every pred_basis call the engine makes."""
+    calls = []
+    original = mu.reachability.pred_basis
+
+    def counted(contract, target):
+        calls.append(target)
+        return original(contract, target)
+
+    monkeypatch.setattr(mu.reachability, "pred_basis", counted)
+    return calls
 
 
 def _cfg(contract, state, sigma=None, psi=EMPTY_PSI):
@@ -62,6 +88,23 @@ def test_minimize_basis_examples():
     assert mu.minimize_basis([]).elements == frozenset()
     other = _cfg(c, "Run")
     assert mu.minimize_basis([big, other]).elements == {big, other}
+
+
+def test_cover_basis_keeps_minimal_elements_and_ignores_clocks():
+    c = sample()
+    inst = PendingEvent(0, 4, "Go", "End")
+    small = _cfg(c, "Go")
+    big = _cfg(c, "Go", psi=PendingSet([inst, inst]))
+    basis = mu.CoverBasis([big])
+    assert basis.covers(big) and not basis.covers(small)
+    added = basis.add(small)
+    assert added is not None and added.live
+    assert basis.elements == {small}
+    assert basis.add(Configuration(c, "Go", None, PendingSet([inst]), 7)) is None
+    assert basis.covers(Configuration(c, "Go", None, EMPTY_PSI, 3))
+    assert not basis.covers(_cfg(c, "Go", sigma=Body(EMPTY_PSI, "End")))
+    with pytest.raises(DifferentContractsError):
+        basis.covers(_cfg(chain(), "Go"))
 
 
 def test_pred_basis_requires_di():
@@ -123,9 +166,11 @@ def test_decide_coverable_chain():
     assert mu.decide_coverable(c, mu.event_target(c, 4))
 
 
-def test_decide_coverable_initial_target_is_trivial():
+def test_decide_coverable_initial_target_is_trivial(monkeypatch):
+    calls = _count_pred_basis(monkeypatch)
     for c in CORPUS[:20]:
         assert mu.decide_coverable(c, mu.state_target(c, c.init))
+    assert calls == []
 
 
 def test_decide_coverable_validates_targets():
@@ -198,6 +243,17 @@ def test_unreachable_clauses_sample():
         "Init g Go": "reachable",
         "Go ev_4 End": "unreachable",
     }
+
+
+def test_unreachable_clauses_expands_each_target_once(monkeypatch):
+    calls = _count_pred_basis(monkeypatch)
+    total = 0
+    for c in CORPUS:
+        calls.clear()
+        mu.unreachable_clauses(c)
+        assert len(calls) == len(set(calls)), mu.render(c)
+        total += len(calls)
+    assert total > 0
 
 
 def test_unreachable_clauses_chain_all_reachable():
@@ -326,3 +382,27 @@ def test_mode_transfer_tick_vs_tickplus_states():
         tick = mu.reachable_states(c, LIMITS, Mode.TICK)
         tickplus = mu.reachable_states(c, LIMITS, Mode.TICK_PLUS)
         assert tick == tickplus
+
+
+def test_decide_coverable_agrees_with_reference_fixpoint():
+    verdicts = []
+    for c in _differential_corpus():
+        for target in all_clause_targets(c):
+            got = mu.decide_coverable(c, target)
+            assert got == reference_decide_coverable(c, target), mu.render(c)
+            verdicts.append(got)
+    assert (len(verdicts), verdicts.count(False)) == (2016, 1498)
+
+
+def test_unreachable_clauses_agrees_with_per_clause_decisions():
+    for c in _differential_corpus():
+        want = {}
+        for fn in c.functions:
+            want[ClauseId.of_function(fn)] = mu.decide_coverable(c, mu.state_target(c, fn.source))
+        for ev in c.events():
+            want[ClauseId.of_event(ev)] = mu.decide_coverable(c, mu.event_target(c, ev.line))
+        got = mu.unreachable_clauses(c)
+        assert list(got) == list(want)
+        assert {clause: v.status for clause, v in got.items()} == {
+            clause: "reachable" if ok else "unreachable" for clause, ok in want.items()
+        }, mu.render(c)
