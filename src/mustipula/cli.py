@@ -146,6 +146,8 @@ def _cmd_unreachable(args) -> int:
     else:
         for clause, verdict in ordered:
             print(f"{clause.text()}: {verdict.status}")
+    if any(verdict.status == "unknown" for verdict in verdicts.values()):
+        return EXIT_UNKNOWN
     return EXIT_OK
 
 

@@ -95,46 +95,25 @@ def config_leq(a: Configuration, b: Configuration) -> bool:
     return a.state == b.state and a.sigma == b.sigma and a.psi.issubmultiset(b.psi)
 
 
-class _Element:
-    """A basis element, with its pending multiset as counts."""
-
-    __slots__ = ("cfg", "counts", "size", "live")
-
-    def __init__(self, cfg: Configuration):
-        self.cfg = cfg
-        self.size = len(cfg.psi)
-        self.counts: dict[PendingEvent, int] = {}
-        for ev in cfg.psi:
-            self.counts[ev] = self.counts.get(ev, 0) + 1
-        self.live = True  # false once a smaller element replaces it
-
-    def leq(self, other: "_Element") -> bool:
-        """Pending-multiset inclusion, in time linear in this multiset."""
-        if self.size > other.size:
-            return False
-        big = other.counts
-        return all(big.get(ev, 0) >= n for ev, n in self.counts.items())
-
-
 class CoverBasis:
     """A finite antichain of minimal configurations of one contract,
     denoting the upward-closed set that is the union of their upward cones.
 
     Elements are bucketed by (state, sigma), since `config_leq` is false
-    across buckets; within a bucket, pending multisets are compared by count
+    across buckets; within a bucket, pending multisets are compared by
     inclusion.  Clocks are ignored, as in `config_leq`."""
 
     def __init__(self, elements: Iterable[Configuration] = ()):
         self._contract: Contract | None = None
-        self._buckets: dict[tuple, list[_Element]] = {}
+        self._buckets: dict[tuple, list[Configuration]] = {}
         for cfg in elements:
             self.add(cfg)
 
     @property
     def elements(self) -> frozenset[Configuration]:
-        return frozenset(e.cfg for bucket in self._buckets.values() for e in bucket)
+        return frozenset(cfg for bucket in self._buckets.values() for cfg in bucket)
 
-    def _bucket(self, cfg: Configuration) -> list[_Element]:
+    def _bucket(self, cfg: Configuration) -> list[Configuration]:
         if self._contract is None:
             self._contract = cfg.contract
         elif cfg.contract is not self._contract and cfg.contract != self._contract:
@@ -142,25 +121,26 @@ class CoverBasis:
         return self._buckets.get((cfg.state, cfg.sigma), [])
 
     def covers(self, cfg: Configuration) -> bool:
-        elem = _Element(cfg)
-        return any(e.leq(elem) for e in self._bucket(cfg))
+        return any(b.psi.issubmultiset(cfg.psi) for b in self._bucket(cfg))
 
-    def add(self, cfg: Configuration) -> _Element | None:
+    def keeps(self, cfg: Configuration) -> bool:
+        """Whether `cfg` itself is still one of the minimal elements."""
+        for b in self._buckets.get((cfg.state, cfg.sigma), ()):
+            if b is cfg:
+                return True
+        return False
+
+    def add(self, cfg: Configuration) -> bool:
         """Add `cfg` unless the set already covers it, dropping the elements
-        it covers.  Returns the new element, whose `live` flag turns false
-        if a smaller element later replaces it, or None."""
-        bucket = self._bucket(cfg)
-        elem = _Element(cfg)
-        if any(e.leq(elem) for e in bucket):
-            return None
-        kept = [elem]
-        for e in bucket:
-            if elem.leq(e):
-                e.live = False
-            else:
-                kept.append(e)
+        it covers.  Returns whether `cfg` was added."""
+        bucket, psi = self._bucket(cfg), cfg.psi
+        for b in bucket:
+            if b.psi.issubmultiset(psi):
+                return False
+        kept = [b for b in bucket if not psi.issubmultiset(b.psi)]
+        kept.append(cfg)
         self._buckets[cfg.state, cfg.sigma] = kept
-        return elem
+        return True
 
 
 def minimize_basis(configs: Iterable[Configuration]) -> CoverBasis:
@@ -212,9 +192,10 @@ def pred_basis(contract: Contract, target: Configuration) -> frozenset[Configura
             if fn.target == body_target and fn.lowered == body_events:
                 preds.add(Configuration(contract, t.state, None, t.psi, 0))
         if not body_events:
-            for ev in contract.events_by_edge.get((t.state, body_target), ()):
-                psi = t.psi.union([PendingEvent(0, ev.line, ev.source, ev.target)])
-                preds.add(Configuration(contract, t.state, None, psi, 0))
+            for ev in contract.events_by_target.get(body_target, ()):
+                if ev.source == t.state:
+                    psi = t.psi.union([PendingEvent(0, ev.line, ev.source, ev.target)])
+                    preds.add(Configuration(contract, t.state, None, psi, 0))
     else:
         for fn in contract.by_target.get(t.state, ()):
             body = Body(fn.lowered, fn.target)
@@ -232,8 +213,9 @@ def _validate_target(contract: Contract, target: Configuration):
         raise DifferentContractsError("target belongs to a different contract")
     if target.sigma is not None:
         raise ValueError("coverability targets must have an empty continuation")
+    declared = {PendingEvent(0, ev.line, ev.source, ev.target) for ev in contract.events()}
     for inst in target.psi:
-        if inst not in contract.instances:
+        if inst not in declared:
             raise ValueError(f"target pending event {inst} is not declared in the contract")
 
 
@@ -262,13 +244,12 @@ class _Backward:
         target = _canon(target)
         states = self.states
         basis = CoverBasis()
-        frontier: deque[_Element] = deque()
+        frontier: deque[Configuration] = deque()
         bare: list[StateName] = []  # the states q of (q, --, --) elements
 
         def admit(cfg: Configuration) -> bool:
             """Add `cfg`; true when that settles the target as coverable."""
-            elem = basis.add(cfg)
-            if elem is None:
+            if not basis.add(cfg):
                 return False
             known = states.get(cfg.state) if cfg.sigma is None else None
             if known is False:
@@ -277,14 +258,14 @@ class _Backward:
                 if known:
                     return True
                 bare.append(cfg.state)
-            frontier.append(elem)
+            frontier.append(cfg)
             return False
 
         covered = admit(target)
         while frontier and not covered:
-            elem = frontier.popleft()
-            if elem.live:
-                covered = any(admit(p) for p in self._preds(elem.cfg))
+            cfg = frontier.popleft()
+            if basis.keeps(cfg):
+                covered = any(admit(p) for p in self._preds(cfg))
         if covered:
             if not target.psi:
                 states[target.state] = True

@@ -57,10 +57,15 @@ class PendingSet(tuple):
         return PendingSet(events)
 
     def issubmultiset(self, other: "PendingSet") -> bool:
-        events = list(other)
+        """Multiset inclusion, by one merge of the two sorted tuples: self
+        is included iff it is a subsequence of other."""
+        if len(self) > len(other):
+            return False
+        rest = iter(other)
         for ev in self:
-            if ev in events:
-                events.remove(ev)
+            for o in rest:
+                if o == ev:
+                    break
             else:
                 return False
         return True

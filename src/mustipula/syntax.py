@@ -107,18 +107,6 @@ class Contract:
         return _group(self.events(), lambda ev: ev.target)
 
     @functools.cached_property
-    def events_by_edge(self) -> dict[tuple[StateName, StateName], tuple[EventDecl, ...]]:
-        """The events of each (source, target) pair, in declaration order."""
-        return _group(self.events(), lambda ev: (ev.source, ev.target))
-
-    @functools.cached_property
-    def instances(self) -> frozenset:
-        """Each declared event as a pending occurrence at delay 0."""
-        from .semantics import PendingEvent
-
-        return frozenset(PendingEvent(0, ev.line, ev.source, ev.target) for ev in self.events())
-
-    @functools.cached_property
     def fragment_set(self):
         """The fragments the contract belongs to (`fragments.classify`)."""
         from . import fragments

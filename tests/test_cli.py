@@ -123,8 +123,9 @@ def test_unreachable_json(files, capsys):
 
 def test_unreachable_mode_tickplus(files, capsys):
     # PingPong is not DI, so the forward search answers.  Under tick-plus no
-    # time passes in the event source Q1, so ev_4 never falls due.
-    assert main(["unreachable", files["pingpong"], "--mode", "tickplus"]) == 0
+    # time passes in the event source Q1, so ev_4 never falls due.  An
+    # unknown verdict makes the exit code 1.
+    assert main(["unreachable", files["pingpong"], "--mode", "tickplus"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert "Q0 ping Q1: reachable" in lines
     assert "Q1 ev_4 Q2: unknown" in lines

@@ -97,10 +97,9 @@ def test_cover_basis_keeps_minimal_elements_and_ignores_clocks():
     big = _cfg(c, "Go", psi=PendingSet([inst, inst]))
     basis = mu.CoverBasis([big])
     assert basis.covers(big) and not basis.covers(small)
-    added = basis.add(small)
-    assert added is not None and added.live
+    assert basis.add(small) and basis.keeps(small) and not basis.keeps(big)
     assert basis.elements == {small}
-    assert basis.add(Configuration(c, "Go", None, PendingSet([inst]), 7)) is None
+    assert not basis.add(Configuration(c, "Go", None, PendingSet([inst]), 7))
     assert basis.covers(Configuration(c, "Go", None, EMPTY_PSI, 3))
     assert not basis.covers(_cfg(c, "Go", sigma=Body(EMPTY_PSI, "End")))
     with pytest.raises(DifferentContractsError):
@@ -254,6 +253,28 @@ def test_unreachable_clauses_expands_each_target_once(monkeypatch):
         assert len(calls) == len(set(calls)), mu.render(c)
         total += len(calls)
     assert total > 0
+
+
+def test_decide_coverable_skips_replaced_elements(monkeypatch):
+    # A hand-made predecessor graph, returned as lists so that the order of
+    # admission is fixed.  Expanding m admits s, which replaces l in the
+    # (Run, --) bucket before l is popped, so l is never expanded.
+    c = sample()
+    inst = PendingEvent(0, 4, "Go", "End")
+    target = _cfg(c, "Go", psi=PendingSet([inst]))
+    l = _cfg(c, "Run", psi=PendingSet([inst]))
+    m = _cfg(c, "Run", sigma=Body(EMPTY_PSI, "Go"))
+    s = _cfg(c, "Run")
+    graph = {target: [m, l], m: [s], l: [], s: []}
+    calls = []
+
+    def fake(contract, cfg):
+        calls.append(cfg)
+        return graph[cfg]
+
+    monkeypatch.setattr(mu.reachability, "pred_basis", fake)
+    assert not mu.decide_coverable(c, target)
+    assert calls == [target, m, s]
 
 
 def test_unreachable_clauses_chain_all_reachable():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -198,6 +199,13 @@ events_st = st.lists(
 def test_nored_antitone(base, extra, state):
     if mu.nored(PendingSet(base + extra), state):
         assert mu.nored(PendingSet(base), state)
+
+
+@given(*[st.lists(st.sampled_from([EV4, EV4_LATER, EV7_NOW]), max_size=6)] * 2)
+def test_issubmultiset_is_count_inclusion(a, b):
+    small, big = PendingSet(a), PendingSet(b)
+    assert small.issubmultiset(big) == (not Counter(a) - Counter(b))
+    assert small.issubmultiset(small.union(b))
 
 
 @given(events_st)

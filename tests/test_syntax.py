@@ -41,8 +41,7 @@ def test_parse_sample():
     assert c.by_source == {"Init": (f, g)} and c.events_by_line == {4: f.body[0]}
     assert c.init_ev == {"Go"} and c.delays == {0} and len(f.lowered) == 1
     assert c.by_target == {"Run": (f,), "Go": (g,)}
-    assert c.events_by_target == {"End": f.body} and c.events_by_edge == {("Go", "End"): f.body}
-    assert c.instances == {mu.PendingEvent(0, 4, "Go", "End")}
+    assert c.events_by_target == {"End": f.body}
     assert c.fragment_set == mu.classify(c) and c.fragment_set.det_instantaneous
     fresh = sample()
     assert "by_source" in vars(c) and "by_source" not in vars(fresh)
