@@ -4,8 +4,9 @@ Two routes:
 
 * `bounded_reach` - breadth-first forward search, any contract, any mode.
   A semi-decision: it answers Reachable with a witness or Unknown, never
-  Unreachable.  The clock is canonicalized to 0 throughout (no rule reads
-  it), so the search runs over the quotient (state, sigma, psi).
+  Unreachable.  No rule reads the clock, so the search deduplicates over
+  the quotient (state, sigma, psi); each configuration keeps the clock of
+  the first path that reaches it, and a witness is its BFS-tree path.
 
 * `decide_coverable` - the complete backward procedure for
   determinate-instantaneous (DI) contracts.  Configurations of a DI
@@ -318,9 +319,11 @@ def event_target(contract: Contract, line: int) -> Configuration:
 
 @dataclass
 class Exploration:
-    """Result of a breadth-first forward search over the clock-erased
-    configuration graph.  `complete` means no cap was hit, so `configs`
-    is the entire reachable quotient space."""
+    """Result of a breadth-first forward search over the configuration graph
+    up to clocks.  `parents` is the BFS tree: each configuration is stored
+    as first reached, so its clock counts the ticks along its tree path.
+    `complete` means no cap was hit, so `configs` is the entire reachable
+    quotient space."""
 
     contract: Contract
     mode: Mode
@@ -335,6 +338,17 @@ class Exploration:
         configuration has that state and an empty continuation."""
         return frozenset(c.state for c in self.configs if c.sigma is None)
 
+    def path(self, node: int) -> tuple[TraceStep, ...]:
+        """The steps of the tree path from the start configuration to
+        `node`: a run of the rules, with true clocks."""
+        steps = []
+        while self.parents[node] is not None:
+            parent, label = self.parents[node]
+            steps.append(TraceStep(label, self.configs[node]))
+            node = parent
+        steps.reverse()
+        return tuple(steps)
+
 
 def explore(
     contract: Contract,
@@ -344,39 +358,27 @@ def explore(
     target_state: StateName | None = None,
     start: Configuration | None = None,
 ) -> tuple[Exploration, int | None]:
-    """BFS from the initial configuration (or `start`) with the clock
-    canonicalized to 0 and a visited set over (state, sigma, psi); ticks
-    count along the first path that reaches each configuration.
-    Successors expand in lexicographic label order, so witnesses are
-    deterministic.  Returns the exploration and, when `target_state` is
-    given and some visited configuration has that state with an empty
-    continuation, its node."""
+    """BFS from the initial configuration (or `start`, with its clock reset
+    to 0) with a visited set over (state, sigma, psi); a configuration keeps
+    the clock of the first path that reaches it.  Successors expand in
+    lexicographic label order, so witnesses are deterministic.  Returns the
+    exploration and, when `target_state` is given and some visited
+    configuration has that state with an empty continuation, its node."""
     start = _canon(start if start is not None else initial_config(contract))
-    configs = [start]
-    parents: list[tuple[int, Label] | None] = [None]
-    ticks = [0]
+    exploration = Exploration(contract, mode, [start], [None], [], False, None)
+    if target_state == start.state and start.sigma is None:
+        return exploration, 0
+    configs, parents, edges = exploration.configs, exploration.parents, exploration.edges
     index = {(start.state, start.sigma, start.psi): 0}
-    edges: list[tuple[int, Label, int]] = []
-    limit_hit = None
-    found = 0 if target_state == start.state and start.sigma is None else None
-
-    if found is not None and target_state is not None:
-        return (
-            Exploration(contract, mode, configs, parents, edges, False, None),
-            found,
-        )
-
     queue = deque([0])
     while queue:
         node = queue.popleft()
-        cfg = configs[node]
-        for label, nxt in sorted(successors(cfg, mode), key=lambda s: s[0].text()):
-            nxt = _canon(nxt)
+        for label, nxt in sorted(successors(configs[node], mode), key=lambda s: s[0].text()):
             if len(nxt.psi) > limits.max_psi:
-                limit_hit = "psi"
+                exploration.limit_hit = "psi"
                 continue
-            if label.kind == "tick" and ticks[node] + 1 > limits.max_clock:
-                limit_hit = "clock"
+            if nxt.clock > limits.max_clock:
+                exploration.limit_hit = "clock"
                 continue
             key = (nxt.state, nxt.sigma, nxt.psi)
             known = index.get(key)
@@ -385,56 +387,18 @@ def explore(
                     edges.append((node, label, known))
                 continue
             if len(configs) >= limits.max_configs:
-                limit_hit = "configs"
-                exploration = Exploration(
-                    contract, mode, configs, parents, edges, False, limit_hit
-                )
+                exploration.limit_hit = "configs"
                 return exploration, None
-            index[key] = len(configs)
+            child = index[key] = len(configs)
             configs.append(nxt)
             parents.append((node, label))
-            ticks.append(ticks[node] + (1 if label.kind == "tick" else 0))
             if record_edges:
-                edges.append((node, label, len(configs) - 1))
-            if target_state is not None and nxt.state == target_state and nxt.sigma is None:
-                exploration = Exploration(
-                    contract, mode, configs, parents, edges, False, limit_hit
-                )
-                return exploration, len(configs) - 1
-            queue.append(len(configs) - 1)
-
-    exploration = Exploration(
-        contract, mode, configs, parents, edges, limit_hit is None, limit_hit
-    )
-    return exploration, found
-
-
-def _path_labels(exploration: Exploration, node: int) -> list[Label]:
-    labels = []
-    while True:
-        parent = exploration.parents[node]
-        if parent is None:
-            break
-        node, label = parent
-        labels.append(label)
-    labels.reverse()
-    return labels
-
-
-def _replay(contract: Contract, labels: list[Label], mode: Mode) -> Trace:
-    """Re-run a label sequence from the initial configuration to
-    re-materialize true clock values in the witness."""
-    cfg = initial_config(contract)
-    steps = []
-    for label in labels:
-        for cand_label, cand_cfg in successors(cfg, mode):
-            if cand_label == label:
-                cfg = cand_cfg
-                steps.append(TraceStep(label, cfg))
-                break
-        else:
-            raise AssertionError(f"witness replay failed at {label.text()}")
-    return Trace(tuple(steps))
+                edges.append((node, label, child))
+            if nxt.state == target_state and nxt.sigma is None:
+                return exploration, child
+            queue.append(child)
+    exploration.complete = exploration.limit_hit is None
+    return exploration, None
 
 
 def bounded_reach(
@@ -448,8 +412,7 @@ def bounded_reach(
     Unknown.  Never Unreachable."""
     exploration, node = explore(contract, mode, limits, target_state=target_state)
     if node is not None:
-        labels = _path_labels(exploration, node)
-        return Verdict.reachable(_replay(contract, labels, mode))
+        return Verdict.reachable(Trace(exploration.path(node)))
     return Verdict.unknown(exploration.limit_hit)
 
 
@@ -515,18 +478,23 @@ def unreachable_clauses(
         return verdicts
 
     exploration, _ = explore(contract, mode, limits, record_edges=True)
-    first_use: dict[ClauseId, tuple[int, Label]] = {}
+    configs = exploration.configs
+    first_use: dict[ClauseId, tuple[int, Label, int]] = {}
     for edge in exploration.edges:
         clause = _edge_clause(exploration, edge)
         if clause is not None and clause not in first_use:
-            first_use[clause] = (edge[0], edge[1])
+            first_use[clause] = edge
     for fn in contract.functions:
         verdicts[ClauseId.of_function(fn)] = Verdict.unknown(exploration.limit_hit)
     for ev in contract.events():
         verdicts[ClauseId.of_event(ev)] = Verdict.unknown(exploration.limit_hit)
-    for clause, (node, label) in first_use.items():
-        labels = _path_labels(exploration, node) + [label]
-        verdicts[clause] = Verdict.reachable(_replay(contract, labels, mode))
+    for clause, (node, label, child) in first_use.items():
+        # A call or event step keeps the clock; configs[child] may carry
+        # the clock of another path.
+        reached, clock = configs[child], configs[node].clock
+        last = Configuration(contract, reached.state, reached.sigma, reached.psi, clock)
+        steps = exploration.path(node) + (TraceStep(label, last),)
+        verdicts[clause] = Verdict.reachable(Trace(steps))
     return verdicts
 
 

@@ -153,10 +153,23 @@ def initial_config(contract: Contract) -> Configuration:
     return Configuration(contract, contract.init, None, EMPTY_PSI, 0)
 
 
+def firable(psi: PendingSet, state: StateName) -> list[PendingEvent]:
+    """The distinct pending events firable at `state` (delay 0, source
+    `state`), by line-code.  Psi is sorted, so they lie in its delay-0
+    prefix in line order, with equal copies adjacent."""
+    out = []
+    for ev in psi:
+        if ev.delay:
+            break
+        if ev.source == state and (not out or out[-1] != ev):
+            out.append(ev)
+    return out
+
+
 def nored(psi: PendingSet, state: StateName) -> bool:
     """True iff no pending event is firable at `state`, i.e. psi holds no
     element with delay 0 and source equal to `state`."""
-    return not any(ev.delay == 0 and ev.source == state for ev in psi)
+    return not firable(psi, state)
 
 
 def decrement(psi: PendingSet) -> PendingSet:
@@ -189,15 +202,12 @@ def successors(cfg: Configuration, mode: Mode = Mode.TICK) -> list[tuple[Label, 
         return [(Label("statechange"), nxt)]
 
     out = []
-    firable = sorted(
-        {ev for ev in psi if ev.delay == 0 and ev.source == state},
-        key=lambda ev: ev.line,
-    )
-    for ev in firable:
+    events = firable(psi, state)
+    for ev in events:
         sigma = Body(EMPTY_PSI, ev.target)
         nxt = Configuration(contract, state, sigma, psi.remove_one(ev), clock)
         out.append((Label("event", line=ev.line), nxt))
-    if firable:
+    if events:
         # Firable events preempt function invocation and time progression.
         return out
 
@@ -213,22 +223,15 @@ def successors(cfg: Configuration, mode: Mode = Mode.TICK) -> list[tuple[Label, 
 
 def is_stuck(cfg: Configuration) -> bool:
     """Whether only tick transitions are ever enabled from `cfg` under the
-    plain tick rule.  Terminates because each tick strictly shrinks the
-    total pending delay until psi empties and the configuration repeats."""
-    current = cfg
-    while True:
-        steps = successors(current, Mode.TICK)
-        if any(label.kind != "tick" for label, _ in steps):
-            return False
-        if not steps:
-            return True
-        nxt = steps[0][1]
-        if not nxt.psi:
-            # (Q, --, --) ticks to itself forever.
-            return not any(
-                label.kind != "tick" for label, _ in successors(nxt, Mode.TICK)
-            )
-        current = nxt
+    plain tick rule.  Ticks keep the state and only shrink psi, so that
+    holds exactly when sigma is empty, no function leaves the state, and no
+    pending event has the state as source (it would fire at delay 0)."""
+    state = cfg.state
+    return (
+        cfg.sigma is None
+        and state not in cfg.contract.by_source
+        and all(ev.source != state for ev in cfg.psi)
+    )
 
 
 class TraceStep(NamedTuple):

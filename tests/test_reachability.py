@@ -12,6 +12,7 @@ from helpers import (
     chain,
     coverability_fixpoint_pairs,
     di_corpus,
+    machine_suite,
     pingpong,
     psis_upto,
     random_di_contract,
@@ -24,6 +25,31 @@ from helpers import (
 
 CORPUS = di_corpus(60)
 LIMITS = mu.ExplorationLimits(50_000, 200, 6)
+ENCODING_LIMITS = {
+    "i": mu.ExplorationLimits(20_000, 200, 16),
+    "ta": mu.ExplorationLimits(20_000, 200, 20),
+    "d": mu.ExplorationLimits(20_000, 400, 24),
+}
+
+
+def _suite_encodings():
+    """(contract, final state, limits) for PingPong and the i/ta/d
+    encodings of the suite machines."""
+    yield pingpong(), "Q3", LIMITS
+    for machine in machine_suite().values():
+        for fragment, limits in ENCODING_LIMITS.items():
+            yield mu.encode(machine, fragment), machine.final, limits
+
+
+def _assert_run(contract, witness, mode):
+    """Each step is a successor of the one before, from the initial
+    configuration, and its clock counts the ticks taken so far."""
+    cfg, ticks = mu.initial_config(contract), 0
+    for step in witness.steps:
+        assert step in mu.successors(cfg, mode), step.label.text()
+        ticks += step.label.kind == "tick"
+        assert step.config.clock == ticks
+        cfg = step.config
 
 
 def _differential_corpus():
@@ -213,17 +239,70 @@ def test_bounded_reach_initial_state_gives_empty_witness():
 
 
 def test_bounded_reach_witness_clock_rematerialized():
-    verdict = mu.bounded_reach(pingpong(), "Q0", LIMITS)
-    assert verdict.status == "reachable"
-    assert all(
-        step.config.clock == sum(1 for s in verdict.witness.steps[: i + 1] if s.label.kind == "tick")
-        for i, step in enumerate(verdict.witness.steps)
+    reached = 0
+    for contract, final, limits in _suite_encodings():
+        for mode in Mode:
+            verdict = mu.bounded_reach(contract, final, limits, mode)
+            if verdict.status != "reachable" or final == contract.init:
+                continue
+            assert len(verdict.witness) > 0
+            assert verdict.witness.steps[-1].config.state == final
+            _assert_run(contract, verdict.witness, mode)
+            reached += 1
+    assert reached == 17
+
+
+def test_explore_clocks_count_ticks_on_tree_paths():
+    contract = mu.encode(machine_suite()["count_down"], "d")
+    exploration, _ = mu.explore(contract, Mode.TICK, ENCODING_LIMITS["d"])
+    assert exploration.complete and len(exploration.configs) > 100
+    assert exploration.path(0) == ()
+    for node, cfg in enumerate(exploration.configs[1:], 1):
+        path = exploration.path(node)
+        assert path[-1].config is cfg
+        assert cfg.clock == sum(step.label.kind == "tick" for step in path)
+
+
+def test_witnesses_follow_clauses_that_share_a_name():
+    # Two clauses `A f` with different targets have the same label, so a
+    # witness must be the path actually found, not a replay of its labels.
+    src = (
+        "stipula D {\n  init A\n"
+        "  @A f {\n    now + 1 >> @B => @A\n  } => @B\n"
+        "  @A f {\n    now + 1 >> @B => @A\n  } => @C\n}"
     )
+    contract = mu.parse(src)
+    assert not contract.fragment_set.det_instantaneous
+    verdict = mu.bounded_reach(contract, "C", LIMITS)
+    assert verdict.witness.labels() == ["call:f", "statechange"]
+    assert verdict.witness.steps[-1].config.state == "C"
+    got = mu.unreachable_clauses(contract, LIMITS)
+    # The event of the second clause waits at B, which that clause leaves.
+    assert [v.status for v in got.values()] == ["reachable"] * 3 + ["unknown"]
+    for clause, verdict in list(got.items())[:3]:
+        _assert_run(contract, verdict.witness, Mode.TICK)
+        assert verdict.witness.steps[-1].config.sigma.target == clause.target
 
 
 def test_limits_must_be_positive():
     with pytest.raises(ValueError):
         mu.ExplorationLimits(0, 1, 1)
+
+
+def test_explore_reports_clock_limit():
+    src = "stipula T {\n  init A\n  @A f {\n    now + 2 >> @B => @C\n  } => @B\n}"
+    contract = mu.parse(src)
+    capped = mu.ExplorationLimits(1000, 1, 8)
+    verdict = mu.bounded_reach(contract, "C", capped)
+    assert (verdict.status, verdict.detail) == ("unknown", "clock")
+    exploration, _ = mu.explore(contract, Mode.TICK, capped)
+    assert exploration.limit_hit == "clock"
+    assert max(c.clock for c in exploration.configs) == 1
+    verdict = mu.bounded_reach(contract, "C", mu.ExplorationLimits(1000, 2, 8))
+    assert verdict.status == "reachable"
+    assert verdict.witness.labels() == [
+        "call:f", "statechange", "tick", "tick", "ev:4", "statechange",
+    ]
 
 
 def test_explore_reports_psi_limit():
@@ -289,6 +368,22 @@ def test_unreachable_clauses_pingpong_forward_fallback():
         assert verdict.witness is not None
     ev4 = next(ci for ci in got if ci.label == "ev_4")
     assert got[ev4].witness.labels()[-1] == "ev:4"
+    witnesses = 0
+    for contract, _, limits in _suite_encodings():
+        for mode in Mode:
+            for clause, verdict in mu.unreachable_clauses(contract, limits, mode).items():
+                if verdict.witness is None:
+                    continue
+                _assert_run(contract, verdict.witness, mode)
+                last = verdict.witness.steps[-1]
+                if clause.kind == "function":
+                    assert last.label.text() == f"call:{clause.label}"
+                else:
+                    assert last.label.text() == clause.label.replace("ev_", "ev:")
+                assert last.config.state == clause.source
+                assert last.config.sigma.target == clause.target
+                witnesses += 1
+    assert witnesses > 400
 
 
 def test_verdict_payload_schema():

@@ -43,6 +43,9 @@ def test_nored_examples():
     assert mu.nored(EMPTY_PSI, "Q0") is True
     assert mu.nored(PendingSet([EV4]), "Q1") is False
     assert mu.nored(PendingSet([EV4_LATER, EV7_NOW]), "Q1") is True
+    ev2 = PendingEvent(0, 2, "Q1", "Q0")
+    psi = PendingSet([EV4, EV7_NOW, EV4, ev2, EV4_LATER])
+    assert mu.semantics.firable(psi, "Q1") == [ev2, EV4]
 
 
 def test_decrement_examples():
@@ -168,6 +171,32 @@ def test_is_stuck():
     # A pending event elsewhere is ticked away before Go could ever fire it.
     ghost = PendingEvent(2, 4, "Go", "End")
     assert mu.is_stuck(Configuration(sample(), "Run", None, PendingSet([ghost]), 0))
+
+
+def _only_ticks_ever(cfg):
+    """Step the plain tick rule until psi has emptied and one more round,
+    checking that nothing but the tick is ever enabled."""
+    for _ in range(max((ev.delay for ev in cfg.psi), default=0) + 2):
+        steps = mu.successors(cfg, Mode.TICK)
+        if [lab.kind for lab, _ in steps] != ["tick"]:
+            return False
+        cfg = steps[0][1]
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_is_stuck_matches_ticking_out(data):
+    contract = data.draw(st.sampled_from([sample(), pingpong(), chain()]))
+    states = sorted(contract.states())
+    state = st.sampled_from(states)
+    events = st.lists(
+        st.builds(PendingEvent, st.integers(0, 3), st.integers(1, 9), state, state),
+        max_size=4,
+    )
+    sigma = data.draw(st.sampled_from([None, Body(EMPTY_PSI, states[0])]))
+    cfg = Configuration(contract, data.draw(state), sigma, PendingSet(data.draw(events)), 0)
+    assert mu.is_stuck(cfg) == _only_ticks_ever(cfg)
 
 
 def test_trace_json_schema():
