@@ -115,7 +115,10 @@ def _cmd_reach(args) -> int:
         print("REACHABLE")
         print("witness: " + " ".join(verdict.witness.labels()))
         return EXIT_OK
-    print("UNKNOWN" + (f" (limit: {verdict.detail})" if verdict.detail else ""))
+    detail = verdict.detail
+    if not detail.startswith("exhausted"):
+        detail = f"limit: {detail}"
+    print(f"UNKNOWN ({detail})")
     return EXIT_UNKNOWN
 
 

@@ -23,6 +23,7 @@ contracts, forward-search verdicts (Reachable/Unknown) elsewhere.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
@@ -32,6 +33,7 @@ from .semantics import (
     EMPTY_PSI,
     Body,
     Configuration,
+    Continuation,
     Label,
     Mode,
     PendingEvent,
@@ -39,8 +41,10 @@ from .semantics import (
     Trace,
     TraceStep,
     initial_config,
-    successors,
+    moves,
 )
+# Kept importable: perfbench/tracer.py wraps `reachability.successors`.
+from .semantics import successors  # noqa: F401
 from .syntax import ClauseId, Contract, StateName
 
 
@@ -320,23 +324,38 @@ def event_target(contract: Contract, line: int) -> Configuration:
 @dataclass
 class Exploration:
     """Result of a breadth-first forward search over the configuration graph
-    up to clocks.  `parents` is the BFS tree: each configuration is stored
-    as first reached, so its clock counts the ticks along its tree path.
-    `complete` means no cap was hit, so `configs` is the entire reachable
-    quotient space."""
+    up to clocks.  Node i is the configuration `keys[i]` = (state, sigma,
+    psi) with clock `clocks[i]`, the ticks along its path in the BFS tree
+    `parents`.  `complete` means no cap pruned anything, so the nodes are
+    the entire reachable quotient space."""
 
     contract: Contract
     mode: Mode
-    configs: list[Configuration]
+    keys: list[tuple[StateName, Continuation, PendingSet]]
+    clocks: list[int]
     parents: list[tuple[int, Label] | None]
     edges: list[tuple[int, Label, int]]
     complete: bool
     limit_hit: str | None
 
+    @functools.cached_property
+    def configs(self) -> list[Configuration]:
+        """Every node as a configuration, built on first access."""
+        contract = self.contract
+        return [Configuration(contract, *key, clock) for key, clock in zip(self.keys, self.clocks)]
+
+    def config(self, node: int) -> Configuration:
+        """Node `node` as a configuration: the cached one once `configs`
+        has been built."""
+        built = self.__dict__.get("configs")
+        if built is not None:
+            return built[node]
+        return Configuration(self.contract, *self.keys[node], self.clocks[node])
+
     def visited_states(self) -> frozenset[StateName]:
         """States reachable per the reachability definition: some visited
         configuration has that state and an empty continuation."""
-        return frozenset(c.state for c in self.configs if c.sigma is None)
+        return frozenset(state for state, sigma, _ in self.keys if sigma is None)
 
     def path(self, node: int) -> tuple[TraceStep, ...]:
         """The steps of the tree path from the start configuration to
@@ -344,10 +363,14 @@ class Exploration:
         steps = []
         while self.parents[node] is not None:
             parent, label = self.parents[node]
-            steps.append(TraceStep(label, self.configs[node]))
+            steps.append(TraceStep(label, self.config(node)))
             node = parent
         steps.reverse()
         return tuple(steps)
+
+
+def _label_text(move) -> str:
+    return move[0].text()
 
 
 def explore(
@@ -361,40 +384,50 @@ def explore(
     """BFS from the initial configuration (or `start`, with its clock reset
     to 0) with a visited set over (state, sigma, psi); a configuration keeps
     the clock of the first path that reaches it.  Successors expand in
-    lexicographic label order, so witnesses are deterministic.  Returns the
-    exploration and, when `target_state` is given and some visited
-    configuration has that state with an empty continuation, its node."""
-    start = _canon(start if start is not None else initial_config(contract))
-    exploration = Exploration(contract, mode, [start], [None], [], False, None)
+    lexicographic label order, so witnesses are deterministic.  A step to
+    an already visited configuration is an edge, never a pruning: the caps
+    apply to new configurations only.  Returns the exploration and, when
+    `target_state` is given and some visited configuration has that state
+    with an empty continuation, its node."""
+    start = start if start is not None else initial_config(contract)
+    first = (start.state, start.sigma, start.psi)
+    exploration = Exploration(contract, mode, [first], [0], [None], [], False, None)
     if target_state == start.state and start.sigma is None:
         return exploration, 0
-    configs, parents, edges = exploration.configs, exploration.parents, exploration.edges
-    index = {(start.state, start.sigma, start.psi): 0}
+    keys, clocks = exploration.keys, exploration.clocks
+    parents, edges = exploration.parents, exploration.edges
+    max_configs, max_clock, max_psi = limits.max_configs, limits.max_clock, limits.max_psi
+    index = {first: 0}
     queue = deque([0])
     while queue:
         node = queue.popleft()
-        for label, nxt in sorted(successors(configs[node], mode), key=lambda s: s[0].text()):
-            if len(nxt.psi) > limits.max_psi:
-                exploration.limit_hit = "psi"
-                continue
-            if nxt.clock > limits.max_clock:
-                exploration.limit_hit = "clock"
-                continue
-            key = (nxt.state, nxt.sigma, nxt.psi)
+        clock = clocks[node]
+        options = moves(contract, *keys[node], mode)
+        if len(options) > 1:
+            options.sort(key=_label_text)
+        for label, state, sigma, psi, ticks in options:
+            key = (state, sigma, psi)
             known = index.get(key)
             if known is not None:
                 if record_edges:
                     edges.append((node, label, known))
                 continue
-            if len(configs) >= limits.max_configs:
+            if len(psi) > max_psi:
+                exploration.limit_hit = "psi"
+                continue
+            if clock + ticks > max_clock:
+                exploration.limit_hit = "clock"
+                continue
+            if len(keys) >= max_configs:
                 exploration.limit_hit = "configs"
                 return exploration, None
-            child = index[key] = len(configs)
-            configs.append(nxt)
+            child = index[key] = len(keys)
+            keys.append(key)
+            clocks.append(clock + ticks)
             parents.append((node, label))
             if record_edges:
                 edges.append((node, label, child))
-            if nxt.state == target_state and nxt.sigma is None:
+            if state == target_state and sigma is None:
                 return exploration, child
             queue.append(child)
     exploration.complete = exploration.limit_hit is None
@@ -413,6 +446,8 @@ def bounded_reach(
     exploration, node = explore(contract, mode, limits, target_state=target_state)
     if node is not None:
         return Verdict.reachable(Trace(exploration.path(node)))
+    if exploration.limit_hit is None:
+        return Verdict.unknown(f"exhausted: {len(exploration.keys)} configurations, no limit hit")
     return Verdict.unknown(exploration.limit_hit)
 
 
@@ -434,8 +469,8 @@ def reachable_states(
 def _edge_clause(exploration: Exploration, edge) -> ClauseId | None:
     node, label, child = edge
     if label.kind == "call":
-        source = exploration.configs[node].state
-        sigma = exploration.configs[child].sigma
+        source = exploration.keys[node][0]
+        sigma = exploration.keys[child][1]
         return ClauseId("function", source, label.name, sigma.target)
     if label.kind == "event":
         ev = exploration.contract.event_at_line(label.line)
@@ -478,7 +513,7 @@ def unreachable_clauses(
         return verdicts
 
     exploration, _ = explore(contract, mode, limits, record_edges=True)
-    configs = exploration.configs
+    keys, clocks = exploration.keys, exploration.clocks
     first_use: dict[ClauseId, tuple[int, Label, int]] = {}
     for edge in exploration.edges:
         clause = _edge_clause(exploration, edge)
@@ -489,10 +524,9 @@ def unreachable_clauses(
     for ev in contract.events():
         verdicts[ClauseId.of_event(ev)] = Verdict.unknown(exploration.limit_hit)
     for clause, (node, label, child) in first_use.items():
-        # A call or event step keeps the clock; configs[child] may carry
-        # the clock of another path.
-        reached, clock = configs[child], configs[node].clock
-        last = Configuration(contract, reached.state, reached.sigma, reached.psi, clock)
+        # A call or event step keeps the clock; clocks[child] may be the
+        # clock of another path.
+        last = Configuration(contract, *keys[child], clocks[node])
         steps = exploration.path(node) + (TraceStep(label, last),)
         verdicts[clause] = Verdict.reachable(Trace(steps))
     return verdicts

@@ -17,6 +17,9 @@ is a multiset of pending events.  Four rules drive execution:
                   requires the current state to be outside InitEv(C).
 
 No rule reads the clock; it is carried for trace readability only.
+
+`moves` is the one transition function, over the packed parts (state,
+sigma, psi); `successors` and `run_random` build configurations from it.
 """
 
 from __future__ import annotations
@@ -45,16 +48,19 @@ class PendingSet(tuple):
     """Multiset of pending events, kept canonically sorted so that equality
     and hashing ignore order."""
 
+    __slots__ = ()
+
     def __new__(cls, events: Iterable[PendingEvent] = ()):
         return super().__new__(cls, sorted(events))
 
     def union(self, other: Iterable[PendingEvent]) -> "PendingSet":
+        if not other:
+            return self
         return PendingSet(tuple.__add__(self, tuple(other)))
 
     def remove_one(self, event: PendingEvent) -> "PendingSet":
-        events = list(self)
-        events.remove(event)
-        return PendingSet(events)
+        i = self.index(event)
+        return _sorted(self[:i] + self[i + 1 :])
 
     def issubmultiset(self, other: "PendingSet") -> bool:
         """Multiset inclusion, by one merge of the two sorted tuples: self
@@ -77,6 +83,11 @@ class PendingSet(tuple):
             if ev in events:
                 events.remove(ev)
         return PendingSet(events)
+
+
+def _sorted(events: tuple) -> PendingSet:
+    """Wrap a tuple that is already in canonical order, without sorting."""
+    return tuple.__new__(PendingSet, events)
 
 
 EMPTY_PSI = PendingSet()
@@ -133,6 +144,10 @@ class Label:
         return self.kind
 
 
+TICK = Label("tick")
+STATECHANGE = Label("statechange")
+
+
 class Mode(enum.Enum):
     """Which time-progression rule the semantics uses."""
 
@@ -174,11 +189,10 @@ def nored(psi: PendingSet, state: StateName) -> bool:
 
 def decrement(psi: PendingSet) -> PendingSet:
     """One tick's effect on the pending multiset: delay-0 events are
-    garbage-collected, every other delay decreases by one."""
-    return PendingSet(
-        PendingEvent(ev.delay - 1, ev.line, ev.source, ev.target)
-        for ev in psi
-        if ev.delay > 0
+    garbage-collected, every other delay decreases by one.  Lowering every
+    remaining delay by one keeps the canonical order."""
+    return _sorted(
+        tuple([PendingEvent(ev.delay - 1, ev.line, ev.source, ev.target) for ev in psi if ev.delay])
     )
 
 
@@ -191,34 +205,50 @@ def lower(body: Iterable[EventDecl]) -> PendingSet:
     )
 
 
-def successors(cfg: Configuration, mode: Mode = Mode.TICK) -> list[tuple[Label, Configuration]]:
-    """All enabled one-step transitions from `cfg`, in a fixed order:
-    firable events by line-code, then functions in declaration order, then
-    the tick.  A non-empty sigma yields exactly one state-change."""
-    contract, state, psi, clock = cfg.contract, cfg.state, cfg.psi, cfg.clock
-    if cfg.sigma is not None:
-        body_events, target = cfg.sigma
-        nxt = Configuration(contract, target, None, psi.union(body_events), clock)
-        return [(Label("statechange"), nxt)]
+# A move is one enabled transition over the packed parts of a configuration:
+# (label, state', sigma', psi', ticks), where `ticks` is what it adds to the
+# clock (1 for a tick, else 0).
+Move = tuple[Label, StateName, Continuation, PendingSet, int]
 
-    out = []
+
+def moves(
+    contract: Contract,
+    state: StateName,
+    sigma: Continuation,
+    psi: PendingSet,
+    mode: Mode = Mode.TICK,
+) -> list[Move]:
+    """All enabled one-step transitions from (state, sigma, psi), in a fixed
+    order: firable events by line-code, then functions in declaration order,
+    then the tick.  A non-empty sigma yields exactly one state-change."""
+    if sigma is not None:
+        body_events, target = sigma
+        return [(STATECHANGE, target, None, psi.union(body_events), 0)]
+
     events = firable(psi, state)
-    for ev in events:
-        sigma = Body(EMPTY_PSI, ev.target)
-        nxt = Configuration(contract, state, sigma, psi.remove_one(ev), clock)
-        out.append((Label("event", line=ev.line), nxt))
     if events:
         # Firable events preempt function invocation and time progression.
-        return out
+        return [
+            (Label("event", line=ev.line), state, Body(EMPTY_PSI, ev.target), psi.remove_one(ev), 0)
+            for ev in events
+        ]
 
+    out: list[Move] = []
     for fn in contract.by_source.get(state, ()):
-        nxt = Configuration(contract, state, Body(fn.lowered, fn.target), psi, clock)
-        out.append((Label("call", name=fn.name), nxt))
-
+        label, body = fn.call
+        out.append((label, state, body, psi, 0))
     if mode is Mode.TICK or state not in contract.init_ev:
-        nxt = Configuration(contract, state, None, decrement(psi), clock + 1)
-        out.append((Label("tick"), nxt))
+        out.append((TICK, state, None, decrement(psi), 1))
     return out
+
+
+def successors(cfg: Configuration, mode: Mode = Mode.TICK) -> list[tuple[Label, Configuration]]:
+    """The moves from `cfg`, in the same order, as configurations."""
+    contract, clock = cfg.contract, cfg.clock
+    return [
+        (label, Configuration(contract, state, sigma, psi, clock + ticks))
+        for label, state, sigma, psi, ticks in moves(contract, cfg.state, cfg.sigma, cfg.psi, mode)
+    ]
 
 
 def is_stuck(cfg: Configuration) -> bool:
@@ -260,14 +290,15 @@ def run_random(
     the enabled successors with the given seed.  Deterministic in
     (contract, steps, seed, mode); stops early when no successor exists."""
     rng = random.Random(seed)
-    cfg = initial_config(contract)
+    state, sigma, psi, clock = contract.init, None, EMPTY_PSI, 0
     taken = []
     for _ in range(steps):
-        options = successors(cfg, mode)
+        options = moves(contract, state, sigma, psi, mode)
         if not options:
             break
-        label, cfg = rng.choice(options)
-        taken.append(TraceStep(label, cfg))
+        label, state, sigma, psi, ticks = rng.choice(options)
+        clock += ticks
+        taken.append(TraceStep(label, Configuration(contract, state, sigma, psi, clock)))
     return Trace(tuple(taken))
 
 

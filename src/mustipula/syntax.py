@@ -69,6 +69,14 @@ class FunctionDecl:
 
         return lower(self.body)
 
+    @functools.cached_property
+    def call(self):
+        """The (Label, Body) pair of invoking this clause: the call label and
+        the continuation `lowered => target` it installs."""
+        from .semantics import Body, Label
+
+        return Label("call", name=self.name), Body(self.lowered, self.target)
+
 
 def _group(items, key) -> dict:
     """Items by key, each group in the items' order."""

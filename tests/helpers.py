@@ -1,6 +1,7 @@
 """Shared test fixtures: golden contract sources, a seeded DI-contract
-generator, configuration enumeration for exhaustive checks, the counter
-machine suite, and denotation matchers for the encoding properties."""
+generator, configuration enumeration for exhaustive checks, reference
+engines for differential tests, the counter machine suite, and denotation
+matchers for the encoding properties."""
 
 from __future__ import annotations
 
@@ -9,7 +10,16 @@ import random
 from collections import Counter, deque
 
 import mustipula as mu
-from mustipula.semantics import EMPTY_PSI, Body, Configuration, PendingEvent, PendingSet
+from mustipula.semantics import (
+    EMPTY_PSI,
+    Body,
+    Configuration,
+    Label,
+    PendingEvent,
+    PendingSet,
+    Trace,
+    TraceStep,
+)
 from mustipula.syntax import Contract, EventDecl, FunctionDecl, TimeExpr
 
 PINGPONG = """stipula PingPong {
@@ -211,6 +221,90 @@ def all_clause_targets(contract: Contract) -> list[Configuration]:
 
 
 # ---------------------------------------------------------------------------
+# The forward engine before the packed step function
+# ---------------------------------------------------------------------------
+
+
+def reference_successors(cfg: Configuration, mode=mu.Mode.TICK) -> list:
+    """`successors` as it was written before every engine stepped through
+    `semantics.moves`: a fresh Label and Configuration per successor, and
+    every pending multiset rebuilt through the sorting constructor."""
+    contract, state, psi, clock = cfg.contract, cfg.state, cfg.psi, cfg.clock
+    if cfg.sigma is not None:
+        body_events, target = cfg.sigma
+        nxt = Configuration(contract, target, None, PendingSet(psi + body_events), clock)
+        return [(Label("statechange"), nxt)]
+
+    out = []
+    events = sorted({ev for ev in psi if ev.delay == 0 and ev.source == state})
+    for ev in events:
+        rest = list(psi)
+        rest.remove(ev)
+        nxt = Configuration(contract, state, Body(EMPTY_PSI, ev.target), PendingSet(rest), clock)
+        out.append((Label("event", line=ev.line), nxt))
+    if events:
+        return out
+
+    for fn in contract.functions:
+        if fn.source == state:
+            body = Body(mu.lower(fn.body), fn.target)
+            out.append((Label("call", name=fn.name), Configuration(contract, state, body, psi, clock)))
+    if mode is mu.Mode.TICK or all(ev.source != state for ev in contract.events()):
+        ticked = PendingSet(
+            PendingEvent(ev.delay - 1, ev.line, ev.source, ev.target) for ev in psi if ev.delay > 0
+        )
+        out.append((Label("tick"), Configuration(contract, state, None, ticked, clock + 1)))
+    return out
+
+
+def reference_explore(contract: Contract, mode, limits, start: Configuration | None = None):
+    """BFS over `reference_successors` in label-text order, deduplicating on
+    (state, sigma, psi).  A step to a visited configuration is only an edge;
+    the psi, clock and configuration caps apply, in that order, to new
+    configurations.  Returns (configs, parents, complete, limit_hit)."""
+    start = start if start is not None else mu.initial_config(contract)
+    start = Configuration(contract, start.state, start.sigma, start.psi, 0)
+    configs, parents = [start], [None]
+    index = {(start.state, start.sigma, start.psi): 0}
+    queue = deque([0])
+    limit_hit = None
+    while queue:
+        node = queue.popleft()
+        steps = sorted(reference_successors(configs[node], mode), key=lambda s: s[0].text())
+        for label, nxt in steps:
+            key = (nxt.state, nxt.sigma, nxt.psi)
+            if key in index:
+                continue
+            if len(nxt.psi) > limits.max_psi:
+                limit_hit = "psi"
+                continue
+            if nxt.clock > limits.max_clock:
+                limit_hit = "clock"
+                continue
+            if len(configs) >= limits.max_configs:
+                return configs, parents, False, "configs"
+            index[key] = len(configs)
+            configs.append(nxt)
+            parents.append((node, label))
+            queue.append(index[key])
+    return configs, parents, limit_hit is None, limit_hit
+
+
+def reference_run_random(contract: Contract, steps: int, seed: int, mode=mu.Mode.TICK) -> Trace:
+    """`run_random` over `reference_successors`."""
+    rng = random.Random(seed)
+    cfg = mu.initial_config(contract)
+    taken = []
+    for _ in range(steps):
+        options = reference_successors(cfg, mode)
+        if not options:
+            break
+        label, cfg = rng.choice(options)
+        taken.append(TraceStep(label, cfg))
+    return Trace(tuple(taken))
+
+
+# ---------------------------------------------------------------------------
 # Counter machine suite
 # ---------------------------------------------------------------------------
 
@@ -238,6 +332,15 @@ HALTING = {"inc_dec_inc": True, "trivial": True, "count_down": True,
 
 def machine_suite():
     return {name: mu.parse_minsky(text) for name, text in MACHINES.items()}
+
+
+def inc_chain(n: int):
+    """The machine `Qi: inc r1 Q{i+1}` for i < n, then `Qn: decjump r1 QF
+    Qn`.  It halts at QF after 2n+1 steps."""
+    lines = ["init Q0", "final QF"]
+    lines += [f"Q{i}: inc r1 Q{i + 1}" for i in range(n)]
+    lines.append(f"Q{n}: decjump r1 QF Q{n}")
+    return mu.parse_minsky("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

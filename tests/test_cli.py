@@ -86,7 +86,9 @@ def test_reach_reachable(files, capsys):
 
 def test_reach_unknown_exit_one(files, capsys):
     assert main(["reach", files["sample"], "--state", "End"]) == 1
-    assert capsys.readouterr().out.startswith("UNKNOWN")
+    assert capsys.readouterr().out == "UNKNOWN (exhausted: 6 configurations, no limit hit)\n"
+    assert main(["reach", files["sample"], "--state", "End", "--max-configs", "3"]) == 1
+    assert capsys.readouterr().out == "UNKNOWN (limit: configs)\n"
 
 
 def test_decide_event_unreachable(files, capsys):

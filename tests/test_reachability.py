@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,11 +13,15 @@ from helpers import (
     chain,
     coverability_fixpoint_pairs,
     di_corpus,
+    inc_chain,
     machine_suite,
     pingpong,
     psis_upto,
     random_di_contract,
     reference_decide_coverable,
+    reference_explore,
+    reference_run_random,
+    reference_successors,
     sample,
     submultisets,
     wf_configs,
@@ -230,6 +235,7 @@ def test_bounded_reach_unknown_on_unreachable_state():
     verdict = mu.bounded_reach(sample(), "End", LIMITS)
     assert verdict.status == "unknown"
     assert verdict.witness is None
+    assert verdict.detail == "exhausted: 6 configurations, no limit hit"
 
 
 def test_bounded_reach_initial_state_gives_empty_witness():
@@ -255,7 +261,11 @@ def test_bounded_reach_witness_clock_rematerialized():
 def test_explore_clocks_count_ticks_on_tree_paths():
     contract = mu.encode(machine_suite()["count_down"], "d")
     exploration, _ = mu.explore(contract, Mode.TICK, ENCODING_LIMITS["d"])
+    last = len(exploration.keys) - 1
+    witness = exploration.path(last)
+    assert "configs" not in vars(exploration)  # built only when asked for
     assert exploration.complete and len(exploration.configs) > 100
+    assert exploration.path(last) == witness
     assert exploration.path(0) == ()
     for node, cfg in enumerate(exploration.configs[1:], 1):
         path = exploration.path(node)
@@ -303,6 +313,18 @@ def test_explore_reports_clock_limit():
     assert verdict.witness.labels() == [
         "call:f", "statechange", "tick", "tick", "ev:4", "statechange",
     ]
+
+
+def test_explore_steps_back_to_visited_configurations_hit_no_limit():
+    # The last tick at B leads back to (B, --, --): it prunes nothing, so
+    # the search is complete under either clock cap.
+    src = "stipula T {\n  init A\n  @A f {\n    now + 1 >> @X => @Y\n  } => @B\n}"
+    contract = mu.parse(src)
+    for max_clock in (2, 3):
+        limits = mu.ExplorationLimits(1000, max_clock, 8)
+        exploration, _ = mu.explore(contract, Mode.TICK, limits)
+        assert len(exploration.configs) == 5
+        assert (exploration.complete, exploration.limit_hit) == (True, None)
 
 
 def test_explore_reports_psi_limit():
@@ -522,3 +544,39 @@ def test_unreachable_clauses_agrees_with_per_clause_decisions():
         assert {clause: v.status for clause, v in got.items()} == {
             clause: "reachable" if ok else "unreachable" for clause, ok in want.items()
         }, mu.render(c)
+
+
+def _forward_corpus():
+    """PingPong, Sample, the i/ta/d encodings of the suite machines and of
+    inc_chain(1..6), and the generated DI corpus."""
+    machines = list(machine_suite().values()) + [inc_chain(n) for n in range(1, 7)]
+    yield pingpong()
+    yield sample()
+    for machine in machines:
+        for fragment in ("i", "ta", "d"):
+            yield mu.encode(machine, fragment)
+    yield from di_corpus()
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_forward_engine_agrees_with_reference(mode):
+    # The reference is the engine before every step went through
+    # `semantics.moves`.  Each cap stops some of the searches.
+    stats = Counter()
+    wide = mu.ExplorationLimits(400, 40, 12)
+    for contract in _forward_corpus():
+        for limits in (wide, mu.ExplorationLimits(400, 2, 4), mu.ExplorationLimits(400, 1, 12)):
+            configs, parents, complete, limit_hit = reference_explore(contract, mode, limits)
+            exploration, _ = mu.explore(contract, mode, limits)
+            assert exploration.keys == [(c.state, c.sigma, c.psi) for c in configs]
+            assert exploration.clocks == [c.clock for c in configs]
+            assert exploration.parents == parents
+            assert (exploration.complete, exploration.limit_hit) == (complete, limit_hit)
+            stats[limit_hit] += 1
+            if limits is wide:
+                for cfg in configs:
+                    assert mu.successors(cfg, mode) == reference_successors(cfg, mode)
+        for seed in range(5):
+            got = mu.run_random(contract, 60, seed, mode)
+            assert mu.trace_json(got) == mu.trace_json(reference_run_random(contract, 60, seed, mode))
+    assert set(stats) == {None, "configs", "clock", "psi"}

@@ -237,6 +237,19 @@ def test_issubmultiset_is_count_inclusion(a, b):
     assert small.issubmultiset(small.union(b))
 
 
+@given(events_st, events_st)
+def test_multiset_operations_keep_canonical_order(a, b):
+    psi = PendingSet(a)
+    ticked = Counter(PendingEvent(ev.delay - 1, *ev[1:]) for ev in a if ev.delay > 0)
+    cases = [(mu.decrement(psi), ticked), (psi.union(b), Counter(a) + Counter(b))]
+    cases += [(psi.remove_one(ev), Counter(a) - Counter([ev])) for ev in set(a)]
+    for out, want in cases:
+        assert type(out) is PendingSet
+        assert list(out) == sorted(out)
+        assert Counter(out) == want
+    assert psi.union(()) is psi
+
+
 @given(events_st)
 def test_decrement_shrinks_and_drops_elapsed(events):
     psi = PendingSet(events)
