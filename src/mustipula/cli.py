@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import fragments, minsky, reachability, semantics, syntax
-from .errors import MinskySyntaxError, MuStipulaError, NotDIError, StipulaSyntaxError
+from .errors import MuStipulaError, NotDIError
 
 EXIT_OK = 0
 EXIT_UNKNOWN = 1
@@ -39,9 +39,10 @@ def _limits(args) -> reachability.ExplorationLimits:
 
 
 def _add_limit_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--max-configs", type=int, default=1_000_000)
-    parser.add_argument("--max-clock", type=int, default=1_000)
-    parser.add_argument("--max-psi", type=int, default=64)
+    defaults = reachability.ExplorationLimits()
+    parser.add_argument("--max-configs", type=int, default=defaults.max_configs)
+    parser.add_argument("--max-clock", type=int, default=defaults.max_clock)
+    parser.add_argument("--max-psi", type=int, default=defaults.max_psi)
 
 
 def _add_mode_flag(parser: argparse.ArgumentParser):
@@ -242,9 +243,6 @@ def main(argv: list[str] | None = None) -> int:
     except NotDIError as err:
         print(f"NotDI: {err}", file=sys.stderr)
         return EXIT_FRAGMENT
-    except (StipulaSyntaxError, MinskySyntaxError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
     except (MuStipulaError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE

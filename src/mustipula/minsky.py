@@ -36,7 +36,7 @@ from .errors import (
     MinskySyntaxError,
 )
 from .semantics import PendingEvent, PendingSet
-from .syntax import Contract, EventDecl, FunctionDecl, StateName, TimeExpr, renumber
+from .syntax import IDENTIFIER, Contract, EventDecl, FunctionDecl, StateName, TimeExpr, renumber
 
 AUX_PREFIX = "_"
 
@@ -203,11 +203,13 @@ def run_trajectory(machine: MinskyMachine, fuel: int) -> list[MachineConfig]:
 
 
 def minsky_run(machine: MinskyMachine, fuel: int) -> Halted | OutOfFuel:
-    """Run from (init, 0, 0) for at most `fuel` steps."""
-    trajectory = run_trajectory(machine, fuel)
-    last = trajectory[-1]
-    if minsky_step(machine, last) is None:
-        return Halted(last.r1, last.r2, len(trajectory) - 1)
+    """Run from (init, 0, 0) for at most `fuel` steps, in constant memory."""
+    cfg = MachineConfig(machine.init, 0, 0)
+    for steps in range(fuel + 1):
+        nxt = minsky_step(machine, cfg)
+        if nxt is None:
+            return Halted(cfg.r1, cfg.r2, steps)
+        cfg = nxt
     return OutOfFuel()
 
 
@@ -263,6 +265,14 @@ def _instructions(machine: MinskyMachine):
     return sorted(machine.program.items())
 
 
+def _check_encodable(machine: MinskyMachine) -> None:
+    """Validate `machine`; each state name must also be a contract identifier."""
+    machine.validate()
+    for state in sorted(machine.states):
+        if not IDENTIFIER.fullmatch(state):
+            raise MinskySyntaxError(f"state name {state!r} is not an identifier")
+
+
 def encode_i(machine: MinskyMachine) -> Contract:
     """Compile into the instantaneous fragment (all delays 0).
 
@@ -274,7 +284,7 @@ def encode_i(machine: MinskyMachine) -> Contract:
     `fdec_r` management hop to `_zero_r`, which the presence of any register
     token preempts.
     """
-    machine.validate()
+    _check_encodable(machine)
     a = lambda q: _aux(f"a_{q}")
     b = lambda q: _aux(f"b_{q}")
     funcs = [
@@ -336,7 +346,7 @@ def encode_ta(machine: MinskyMachine) -> Contract:
     `=> _end` events at delays 2 and 3 catch runs that dawdle in a
     management or machine state across the wrong tick.
     """
-    machine.validate()
+    _check_encodable(machine)
     funcs = []
     for state, instr in _instructions(machine):
         if isinstance(instr, Inc):
@@ -420,7 +430,7 @@ def encode_d(machine: MinskyMachine) -> Contract:
     `_notickA/_notickB => _cont` management token can continue the
     simulation, and the token dies if time progresses out of schedule.
     """
-    machine.validate()
+    _check_encodable(machine)
     cont, dec1, dec2 = _aux("cont"), _aux("dec1"), _aux("dec2")
     ackdec1, ackdec2 = _aux("ackdec1"), _aux("ackdec2")
     notick = {"A": _aux("notickA"), "B": _aux("notickB")}

@@ -42,6 +42,7 @@ from .semantics import (
     TraceStep,
     initial_config,
     moves,
+    trace_payload,
 )
 # Kept importable: perfbench/tracer.py wraps `reachability.successors`.
 from .semantics import successors  # noqa: F401
@@ -534,8 +535,6 @@ def unreachable_clauses(
 
 def verdict_payload(clause: ClauseId, verdict: Verdict) -> dict:
     """JSON-ready form of a per-clause verdict."""
-    from .semantics import trace_payload
-
     out = {"clause": clause.text(), "verdict": verdict.status}
     if verdict.witness is not None:
         out["witness"] = trace_payload(verdict.witness)

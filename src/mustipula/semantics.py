@@ -132,10 +132,6 @@ class Label:
     name: str | None = None  # function name when kind == "call"
     line: int | None = None  # event line-code when kind == "event"
 
-    @property
-    def silent(self) -> bool:
-        return self.kind in ("tick", "statechange")
-
     def text(self) -> str:
         if self.kind == "call":
             return f"call:{self.name}"

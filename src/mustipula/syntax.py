@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import (
     DuplicateClauseError,
@@ -217,11 +217,13 @@ def validate(contract: Contract) -> Contract:
 # Scanner
 # ---------------------------------------------------------------------------
 
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+# Whitespace matches no alternative, so `finditer` skips it, and a comment
+# matches without a named group.  `bad` catches any other character.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[^\S\n]+)
-  | (?P<comment>//[^\n]*)
-  | (?P<newline>\n)
+    //[^\n]*
   | (?P<arrow>=>)
   | (?P<sched>>>)
   | (?P<at>@)
@@ -229,39 +231,19 @@ _TOKEN_RE = re.compile(
   | (?P<lbrace>\{)
   | (?P<rbrace>\})
   | (?P<nat>[0-9]+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<ident>"""
+    + IDENTIFIER.pattern
+    + r""")
+  | (?P<bad>\S)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # one of the group names above, or "eof"
     text: str
-    line: int
-    column: int
-
-
-def _scan(text: str) -> list[_Token]:
-    tokens = []
-    line, line_start = 1, 0
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise StipulaSyntaxError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
-        kind = match.lastgroup
-        if kind == "newline":
-            line += 1
-            line_start = match.end()
-        elif kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, match.group(), line, match.start() - line_start + 1))
-        pos = match.end()
-    tokens.append(_Token("eof", "", line, pos - line_start + 1))
-    return tokens
+    start: int  # offset into the source text
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +253,15 @@ def _scan(text: str) -> list[_Token]:
 
 class _Parser:
     def __init__(self, text: str):
-        self._tokens = _scan(text)
+        self._text = text
+        matches = _TOKEN_RE.finditer(text)
+        self._tokens = [_Token(m.lastgroup, m.group(), m.start()) for m in matches if m.lastgroup]
+        self._tokens.append(_Token("eof", "", len(text)))
         self._pos = 0
+        self._line, self._line_offset = 1, 0  # the line of offset _line_offset
+        bad = next((tok for tok in self._tokens if tok.kind == "bad"), None)
+        if bad is not None:
+            self._fail(f"unexpected character {bad.text!r}", bad)
 
     def _peek(self) -> _Token:
         return self._tokens[self._pos]
@@ -283,9 +272,11 @@ class _Parser:
             self._pos += 1
         return tok
 
-    def _fail(self, message: str, tok: _Token | None = None):
+    def _fail(self, message: str, tok: _Token | None = None, error=StipulaSyntaxError):
         tok = tok or self._peek()
-        raise StipulaSyntaxError(message, tok.line, tok.column)
+        line_start = self._text.rfind("\n", 0, tok.start) + 1
+        line = self._text.count("\n", 0, line_start) + 1
+        raise error(message, line, tok.start - line_start + 1)
 
     def _describe(self, tok: _Token) -> str:
         return repr(tok.text) if tok.text else "end of input"
@@ -332,9 +323,7 @@ class _Parser:
         body = []
         while self._peek().kind != "rbrace":
             body.append(self._event())
-        close = self._advance()  # rbrace
-        if body and close.line == body[-1].line:
-            self._fail("expected a line break after an event declaration", close)
+        self._advance()  # rbrace
         self._expect("arrow", "'=>'")
         target = self._state()
         return FunctionDecl(source, fname, tuple(body), target)
@@ -353,13 +342,18 @@ class _Parser:
         self._expect("arrow", "'=>'")
         target = self._state()
         nxt = self._peek()
-        if nxt.kind != "eof" and nxt.line == lead.line:
+        if nxt.kind != "eof" and self._text.find("\n", lead.start, nxt.start) < 0:
             if nxt.kind == "ident" and nxt.text == "now":
-                raise MultipleEventsPerLineError(
-                    "a source line may contain at most one event", nxt.line, nxt.column
+                self._fail(
+                    "a source line may contain at most one event",
+                    nxt,
+                    MultipleEventsPerLineError,
                 )
             self._fail("expected a line break after an event declaration", nxt)
-        return EventDecl(TimeExpr(offset), source, target, lead.line)
+        # Events come in source order, so the line count only moves forward.
+        self._line += self._text.count("\n", self._line_offset, lead.start)
+        self._line_offset = lead.start
+        return EventDecl(TimeExpr(offset), source, target, self._line)
 
 
 def parse(text: str) -> Contract:

@@ -1,10 +1,14 @@
 import json
+import pathlib
+import shlex
 
 import pytest
 
 from mustipula.cli import main
 
 from helpers import CHAIN, MACHINES, PINGPONG, SAMPLE
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -21,6 +25,9 @@ def files(tmp_path):
     machine = tmp_path / "m1.minsky"
     machine.write_text(MACHINES["inc_dec_inc"])
     paths["machine"] = str(machine)
+    dash = tmp_path / "dash.minsky"  # a state name that is not an identifier
+    dash.write_text("init q-1\nfinal QF\nq-1: inc r1 QF\n")
+    paths["dash"] = str(dash)
     paths["dir"] = tmp_path
     return paths
 
@@ -166,6 +173,17 @@ def test_negative_steps_and_fuel_exit_two(files, capsys):
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("fragment", ["i", "ta", "d"])
+def test_encode_minsky_rejects_non_identifier_state(files, capsys, fragment):
+    assert main(["encode-minsky", files["dash"], "--fragment", fragment, "-o", "-"]) == 2
+    assert capsys.readouterr() == ("", "error: state name 'q-1' is not an identifier\n")
+
+
+def test_minsky_run_accepts_non_identifier_state(files, capsys):
+    assert main(["minsky-run", files["dash"]]) == 0
+    assert capsys.readouterr().out == "Halted(1,0,1)\n"
+
+
 def test_minsky_parse_error_exit_two(files, capsys):
     bad = files["dir"] / "bad.minsky"
     bad.write_text("init Q0\nfinal QF\nQ0: inc r3 QF\n")
@@ -181,3 +199,30 @@ def test_unknown_flag_rejected(files):
     with pytest.raises(SystemExit) as err:
         main(["classify", files["sample"], "--bogus"])
     assert err.value.code == 2
+
+
+def readme_examples() -> list[tuple[list[str], str]]:
+    """Each `$ mustipula ...` command in README.md, with the output shown
+    under it up to the next blank line or code fence."""
+    examples, output = [], None
+    for line in (REPO / "README.md").read_text(encoding="utf-8").splitlines():
+        if line.startswith("$ mustipula "):
+            output = []
+            examples.append((shlex.split(line)[2:], output))
+        elif not line or line.startswith("```"):
+            output = None
+        elif output is not None:
+            output.append(line + "\n")
+    return [(argv, "".join(output)) for argv, output in examples]
+
+
+def test_readme_examples(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(REPO)
+    examples = readme_examples()
+    assert len(examples) >= 6
+    for argv, expected in examples:
+        if "-o" in argv:
+            out = argv.index("-o") + 1
+            argv[out] = str(tmp_path / pathlib.Path(argv[out]).name)
+        main(argv)
+        assert capsys.readouterr().out == expected, argv

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 import mustipula as mu
@@ -84,6 +86,28 @@ def test_minsky_run_examples():
     assert mu.minsky_run(diverging, 5) == OutOfFuel()
     assert mu.minsky_run(SUITE["trivial"], 0) == Halted(0, 0, 0)
     assert mu.minsky_run(SUITE["r1_oscillator"], 99) == OutOfFuel()
+
+
+def test_minsky_run_agrees_with_run_trajectory():
+    for machine in SUITE.values():
+        for fuel in range(8):
+            trajectory = mu.run_trajectory(machine, fuel)
+            last = trajectory[-1]
+            if mu.minsky_step(machine, last) is None:
+                expected = Halted(last.r1, last.r2, len(trajectory) - 1)
+            else:
+                expected = OutOfFuel()
+            assert mu.minsky_run(machine, fuel) == expected
+
+
+def test_minsky_run_keeps_constant_memory():
+    tracemalloc.start()
+    try:
+        assert mu.minsky_run(SUITE["r1_oscillator"], 100_000) == OutOfFuel()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_run_trajectory_inc_dec_inc():

@@ -64,6 +64,72 @@ def test_syntax_error_carries_position():
     assert err.value.column == 3
 
 
+H = "stipula E {\n  init Q\n"
+
+# Every place the parser reports a syntax error: the source, the error type,
+# and the message, line and column it reports.
+ERROR_TABLE = [
+    ("unexpected character", H + "  %\n}",
+     StipulaSyntaxError, "unexpected character '%'", 3, 3),
+    ("unexpected character after a parse error", "stipula { init Q\n\t /x",
+     StipulaSyntaxError, "unexpected character '/'", 2, 3),
+    ("unexpected character after a number too long to convert",
+     H + "  @Q f {\n    now + " + "1" * 5000 + " >> @A => @B\n  } => @R\n%",
+     StipulaSyntaxError, "unexpected character '%'", 6, 1),
+    ("keyword stipula", "contract E { init Q }",
+     StipulaSyntaxError, "expected keyword 'stipula', found 'contract'", 1, 1),
+    ("keyword init", "stipula E {\n  start Q\n}",
+     StipulaSyntaxError, "expected keyword 'init', found 'start'", 2, 3),
+    ("contract name", "stipula { init Q }",
+     StipulaSyntaxError, "expected a contract name, found '{'", 1, 9),
+    ("'{' after the contract name", "stipula E init Q }",
+     StipulaSyntaxError, "expected '{', found 'init'", 1, 11),
+    ("'{' after the function name", H + "  @Q f } => @R\n}",
+     StipulaSyntaxError, "expected '{', found '}'", 3, 8),
+    ("state name", "stipula X {\n  init\n}",
+     StipulaSyntaxError, "expected a state name, found '}'", 3, 1),
+    ("'@' starting a clause", H + "  Q f { } => @R\n}",
+     StipulaSyntaxError, "expected '@' starting a function clause", 3, 3),
+    ("function name", H + "  @Q { } => @R\n}",
+     StipulaSyntaxError, "expected a function name, found '{'", 3, 6),
+    ("now", H + "  @Q f {\n    later >> @A => @B\n  } => @R\n}",
+     StipulaSyntaxError, "expected an event ('now ...'), found 'later'", 4, 5),
+    ("natural number", H + "  @Q f {\n    now + x >> @A => @B\n  } => @R\n}",
+     StipulaSyntaxError, "expected a natural number, found 'x'", 4, 11),
+    (">>", H + "  @Q f {\n    now + 1 @A => @B\n  } => @R\n}",
+     StipulaSyntaxError, "expected '>>', found '@'", 4, 13),
+    ("'=>' in an event", H + "  @Q f {\n    now >> @A @B\n  } => @R\n}",
+     StipulaSyntaxError, "expected '=>', found '@'", 4, 15),
+    ("'=>' after a function body", H + "  @Q f { } @R\n}",
+     StipulaSyntaxError, "expected '=>', found '@'", 3, 12),
+    ("line break after an event", H + "  @Q f { now >> @A => @B } => @R\n}",
+     StipulaSyntaxError, "expected a line break after an event declaration", 3, 26),
+    ("more input on the last line of a two-line event", H + "  @Q f {\n    now >>\n @A => @B @C\n  } => @R\n}",
+     StipulaSyntaxError, "expected an event ('now ...'), found '@'", 5, 11),
+    ("two events on one line", H + "  @Q f {\n    now >> @A => @B now >> @C => @D\n  } => @R\n}",
+     MultipleEventsPerLineError, "a source line may contain at most one event", 4, 21),
+    ("input after contract", "stipula E { init Q } extra",
+     StipulaSyntaxError, "unexpected input after contract: 'extra'", 1, 22),
+    ("end of input", "stipula X {",
+     StipulaSyntaxError, "expected keyword 'init', found end of input", 1, 12),
+    ("end of input after a newline", H + "  @Q f {\n",
+     StipulaSyntaxError, "expected an event ('now ...'), found end of input", 4, 1),
+]
+
+
+@pytest.mark.parametrize(
+    "source, error, message, line, column",
+    [row[1:] for row in ERROR_TABLE],
+    ids=[row[0] for row in ERROR_TABLE],
+)
+def test_syntax_error_table(source, error, message, line, column):
+    with pytest.raises(error) as err:
+        mu.parse(source)
+    assert type(err.value) is error
+    assert str(err.value) == f"{message} (line {line}, column {column})"
+    assert (err.value.line, err.value.column) == (line, column)
+
+
 def test_truncated_contract_rejected():
     with pytest.raises(StipulaSyntaxError):
         mu.parse("stipula X {")
