@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from .errors import DifferentContractsError, NotDIError
@@ -38,10 +38,10 @@ from .semantics import (
     Mode,
     PendingEvent,
     PendingSet,
+    StepTable,
     Trace,
     TraceStep,
     initial_config,
-    moves,
     trace_payload,
 )
 # Kept importable: perfbench/tracer.py wraps `reachability.successors`.
@@ -328,16 +328,28 @@ class Exploration:
     up to clocks.  Node i is the configuration `keys[i]` = (state, sigma,
     psi) with clock `clocks[i]`, the ticks along its path in the BFS tree
     `parents`.  `complete` means no cap pruned anything, so the nodes are
-    the entire reachable quotient space."""
+    the entire reachable quotient space.
+
+    The search keeps each node as `packed[i]`, its key in the ids of
+    `table`; `keys`, `configs`, `config`, `path` and `visited_states`
+    decode on demand.  `pruned` counts, per limit, the steps to unvisited
+    configurations that the limit turned away."""
 
     contract: Contract
     mode: Mode
-    keys: list[tuple[StateName, Continuation, PendingSet]]
+    table: StepTable
+    packed: list[tuple]
     clocks: list[int]
     parents: list[tuple[int, Label] | None]
     edges: list[tuple[int, Label, int]]
-    complete: bool
-    limit_hit: str | None
+    complete: bool = False
+    limit_hit: str | None = None
+    pruned: dict[str, int] = field(default_factory=lambda: {"psi": 0, "clock": 0, "configs": 0})
+
+    @functools.cached_property
+    def keys(self) -> list[tuple[StateName, Continuation, PendingSet]]:
+        """Every node's (state, sigma, psi), decoded on first access."""
+        return [self.table.decode(key) for key in self.packed]
 
     @functools.cached_property
     def configs(self) -> list[Configuration]:
@@ -351,12 +363,13 @@ class Exploration:
         built = self.__dict__.get("configs")
         if built is not None:
             return built[node]
-        return Configuration(self.contract, *self.keys[node], self.clocks[node])
+        return Configuration(self.contract, *self.table.decode(self.packed[node]), self.clocks[node])
 
     def visited_states(self) -> frozenset[StateName]:
         """States reachable per the reachability definition: some visited
         configuration has that state and an empty continuation."""
-        return frozenset(state for state, sigma, _ in self.keys if sigma is None)
+        names = self.table.state_names
+        return frozenset(names[state] for state, sigma, _ in self.packed if sigma is None)
 
     def path(self, node: int) -> tuple[TraceStep, ...]:
         """The steps of the tree path from the start configuration to
@@ -368,10 +381,6 @@ class Exploration:
             node = parent
         steps.reverse()
         return tuple(steps)
-
-
-def _label_text(move) -> str:
-    return move[0].text()
 
 
 def explore(
@@ -389,46 +398,53 @@ def explore(
     an already visited configuration is an edge, never a pruning: the caps
     apply to new configurations only.  Returns the exploration and, when
     `target_state` is given and some visited configuration has that state
-    with an empty continuation, its node."""
+    with an empty continuation, its node.
+
+    The search steps on the contract's `StepTable`; a start configuration
+    whose pending events the contract does not declare gets its own."""
     start = start if start is not None else initial_config(contract)
-    first = (start.state, start.sigma, start.psi)
-    exploration = Exploration(contract, mode, [first], [0], [None], [], False, None)
+    table = contract.step_table.including(
+        start.psi if start.sigma is None else start.psi + start.sigma.events
+    )
+    first = table.encode(start.state, start.sigma, start.psi)
+    exploration = Exploration(contract, mode, table, [first], [0], [None], [])
     if target_state == start.state and start.sigma is None:
         return exploration, 0
-    keys, clocks = exploration.keys, exploration.clocks
-    parents, edges = exploration.parents, exploration.edges
+    target = None if target_state is None else table.state(target_state)
+    packed, clocks = exploration.packed, exploration.clocks
+    parents, edges, pruned = exploration.parents, exploration.edges, exploration.pruned
     max_configs, max_clock, max_psi = limits.max_configs, limits.max_clock, limits.max_psi
+    step, tick_plus = table.moves, mode is Mode.TICK_PLUS
     index = {first: 0}
     queue = deque([0])
     while queue:
         node = queue.popleft()
         clock = clocks[node]
-        options = moves(contract, *keys[node], mode)
-        if len(options) > 1:
-            options.sort(key=_label_text)
-        for label, state, sigma, psi, ticks in options:
-            key = (state, sigma, psi)
+        for label, key, ticks in step(*packed[node], tick_plus):
             known = index.get(key)
             if known is not None:
                 if record_edges:
                     edges.append((node, label, known))
                 continue
-            if len(psi) > max_psi:
+            if len(key[2]) > max_psi:
                 exploration.limit_hit = "psi"
+                pruned["psi"] += 1
                 continue
             if clock + ticks > max_clock:
                 exploration.limit_hit = "clock"
+                pruned["clock"] += 1
                 continue
-            if len(keys) >= max_configs:
+            if len(packed) >= max_configs:
                 exploration.limit_hit = "configs"
+                pruned["configs"] += 1
                 return exploration, None
-            child = index[key] = len(keys)
-            keys.append(key)
+            child = index[key] = len(packed)
+            packed.append(key)
             clocks.append(clock + ticks)
             parents.append((node, label))
             if record_edges:
                 edges.append((node, label, child))
-            if state == target_state and sigma is None:
+            if key[0] == target and key[1] is None:
                 return exploration, child
             queue.append(child)
     exploration.complete = exploration.limit_hit is None
@@ -448,7 +464,7 @@ def bounded_reach(
     if node is not None:
         return Verdict.reachable(Trace(exploration.path(node)))
     if exploration.limit_hit is None:
-        return Verdict.unknown(f"exhausted: {len(exploration.keys)} configurations, no limit hit")
+        return Verdict.unknown(f"exhausted: {len(exploration.packed)} configurations, no limit hit")
     return Verdict.unknown(exploration.limit_hit)
 
 
@@ -470,9 +486,10 @@ def reachable_states(
 def _edge_clause(exploration: Exploration, edge) -> ClauseId | None:
     node, label, child = edge
     if label.kind == "call":
-        source = exploration.keys[node][0]
-        sigma = exploration.keys[child][1]
-        return ClauseId("function", source, label.name, sigma.target)
+        table, packed = exploration.table, exploration.packed
+        source = table.state_names[packed[node][0]]
+        target = table.state_names[table.sigma_parts[packed[child][1]][0]]
+        return ClauseId("function", source, label.name, target)
     if label.kind == "event":
         ev = exploration.contract.event_at_line(label.line)
         return ClauseId.of_event(ev)
@@ -514,7 +531,6 @@ def unreachable_clauses(
         return verdicts
 
     exploration, _ = explore(contract, mode, limits, record_edges=True)
-    keys, clocks = exploration.keys, exploration.clocks
     first_use: dict[ClauseId, tuple[int, Label, int]] = {}
     for edge in exploration.edges:
         clause = _edge_clause(exploration, edge)
@@ -527,7 +543,7 @@ def unreachable_clauses(
     for clause, (node, label, child) in first_use.items():
         # A call or event step keeps the clock; clocks[child] may be the
         # clock of another path.
-        last = Configuration(contract, *keys[child], clocks[node])
+        last = replace(exploration.config(child), clock=exploration.clocks[node])
         steps = exploration.path(node) + (TraceStep(label, last),)
         verdicts[clause] = Verdict.reachable(Trace(steps))
     return verdicts

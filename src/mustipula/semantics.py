@@ -18,8 +18,12 @@ is a multiset of pending events.  Four rules drive execution:
 
 No rule reads the clock; it is carried for trace readability only.
 
-`moves` is the one transition function, over the packed parts (state,
-sigma, psi); `successors` and `run_random` build configurations from it.
+`moves` is the transition function over the parts (state, sigma, psi);
+`successors` and `run_random` build configurations from it.  They emit a
+configuration at every step and hash none, so interning the parts cannot
+pay there.  `StepTable` is the same function on interned ids, compiled once
+per contract, for the forward search, which hashes every configuration it
+meets and builds configurations only for its output.
 """
 
 from __future__ import annotations
@@ -236,6 +240,126 @@ def moves(
     if mode is Mode.TICK or state not in contract.init_ev:
         out.append((TICK, state, None, decrement(psi), 1))
     return out
+
+
+class StepTable:
+    """`moves` for the forward search, over interned ids, compiled once per
+    contract (`Contract.step_table`).
+
+    A state is a small int.  A continuation is an int interned on its value
+    `(body, target)`, so equal continuations share one id however they
+    arise; the empty continuation is None.  A pending event is the int
+    `delay * K + shape`, where `shape` numbers the distinct (line, source,
+    target) triples in sorted order, and psi is a sorted tuple of those
+    ints: packed order is `PendingSet` order.  A tick subtracts K from every
+    entry and drops those below K; the firable events are the entries below
+    K whose source is the current state.
+
+    Shapes are numbered in one pass over the events, so K is fixed when the
+    table is built; states and continuations are interned as they are met,
+    and each state's call moves are compiled on its first visit."""
+
+    def __init__(self, contract: Contract, extra: Iterable[PendingEvent] = ()):
+        self.contract = contract
+        self.state_ids: dict[StateName, int] = {}
+        self.state_names: list[StateName] = []
+        self.sigma_ids: dict[tuple, int] = {}
+        self.sigmas: list[Body] = []  # id -> the continuation it stands for
+        self.sigma_parts: list[tuple[int, tuple]] = []  # id -> (target, body)
+        self._calls: list = []  # state -> (call moves, whether in InitEv)
+        self._events: dict[int, PendingEvent] = {}  # decoded pending events
+        shapes = {(ev.line, ev.source, ev.target) for ev in contract.events()}
+        shapes.update(ev[1:] for ev in extra)
+        self.shapes = sorted(shapes)
+        self.shape_ids = {shape: i for i, shape in enumerate(self.shapes)}
+        self.K = max(1, len(self.shapes))
+        self.shape_source = [self.state(source) for _, source, _ in self.shapes]
+        self.shape_label = [Label("event", line=line) for line, _, _ in self.shapes]
+        self.shape_fire = [self.sigma(Body(EMPTY_PSI, target)) for _, _, target in self.shapes]
+        # Firable events sort as their label texts do (`ev:10` before
+        # `ev:9`), ties in shape order.
+        self.shape_rank = [(f"ev:{line}", i) for i, (line, _, _) in enumerate(self.shapes)]
+
+    def including(self, events: Iterable[PendingEvent]) -> "StepTable":
+        """This table, or a fresh one when some of `events` has a shape it
+        does not number."""
+        extra = [ev for ev in events if ev[1:] not in self.shape_ids]
+        return StepTable(self.contract, extra) if extra else self
+
+    def state(self, name: StateName) -> int:
+        sid = self.state_ids.get(name)
+        if sid is None:
+            sid = self.state_ids[name] = len(self.state_names)
+            self.state_names.append(name)
+            self._calls.append(None)
+        return sid
+
+    def pack(self, psi: Iterable[PendingEvent]) -> tuple[int, ...]:
+        K, ids = self.K, self.shape_ids
+        return tuple(sorted(ev.delay * K + ids[ev[1:]] for ev in psi))
+
+    def sigma(self, body: Body) -> int:
+        parts = (self.state(body.target), self.pack(body.events))
+        sid = self.sigma_ids.get(parts)
+        if sid is None:
+            sid = self.sigma_ids[parts] = len(self.sigmas)
+            self.sigmas.append(body)
+            self.sigma_parts.append(parts)
+        return sid
+
+    def encode(self, state: StateName, sigma: Continuation, psi: PendingSet) -> tuple:
+        return self.state(state), None if sigma is None else self.sigma(sigma), self.pack(psi)
+
+    def pending(self, psi: tuple[int, ...]) -> PendingSet:
+        """Packed psi as a `PendingSet`, already in its order."""
+        events, K, shapes = self._events, self.K, self.shapes
+        out = []
+        for e in psi:
+            ev = events.get(e)
+            if ev is None:
+                delay, shape = divmod(e, K)
+                ev = events[e] = PendingEvent(delay, *shapes[shape])
+            out.append(ev)
+        return _sorted(tuple(out))
+
+    def decode(self, key: tuple) -> tuple[StateName, Continuation, PendingSet]:
+        state, sigma, psi = key
+        return self.state_names[state], None if sigma is None else self.sigmas[sigma], self.pending(psi)
+
+    def _compile(self, state: int):
+        name = self.state_names[state]
+        # Call labels sort as their texts do: by name, ties in declaration order.
+        fns = sorted(self.contract.by_source.get(name, ()), key=lambda fn: fn.name)
+        calls = tuple((fn.call[0], self.sigma(fn.call[1])) for fn in fns)
+        compiled = self._calls[state] = (calls, name in self.contract.init_ev)
+        return compiled
+
+    def moves(self, state: int, sigma: int | None, psi: tuple, tick_plus: bool) -> list:
+        """`moves` on packed parts, as (label, (state', sigma', psi'), ticks)
+        in label-text order: the order `explore` expands them in."""
+        if sigma is not None:
+            target, body = self.sigma_parts[sigma]
+            return [(STATECHANGE, (target, None, tuple(sorted(psi + body)) if body else psi), 0)]
+        K, source = self.K, self.shape_source
+        firing = []
+        for e in psi:
+            if e >= K:
+                break
+            if source[e] == state and (not firing or firing[-1] != e):
+                firing.append(e)
+        if firing:
+            if len(firing) > 1:
+                firing.sort(key=self.shape_rank.__getitem__)
+            out = []
+            for e in firing:
+                i = psi.index(e)
+                out.append((self.shape_label[e], (state, self.shape_fire[e], psi[:i] + psi[i + 1 :]), 0))
+            return out
+        calls, in_init_ev = self._calls[state] or self._compile(state)
+        out = [(label, (state, sid, psi), 0) for label, sid in calls]
+        if not (tick_plus and in_init_ev):
+            out.append((TICK, (state, None, tuple([e - K for e in psi if e >= K])), 1))
+        return out
 
 
 def successors(cfg: Configuration, mode: Mode = Mode.TICK) -> list[tuple[Label, Configuration]]:

@@ -122,6 +122,14 @@ class Contract:
         return fragments.classify(self)
 
     @functools.cached_property
+    def step_table(self):
+        """The forward search's interned transition table
+        (`semantics.StepTable`)."""
+        from .semantics import StepTable
+
+        return StepTable(self)
+
+    @functools.cached_property
     def events_by_line(self) -> dict[int, EventDecl]:
         """Each line-code's event; the first declaration wins a clash."""
         out: dict[int, EventDecl] = {}
@@ -336,7 +344,11 @@ class _Parser:
         offset = 0
         if self._peek().kind == "plus":
             self._advance()
-            offset = int(self._expect("nat", "a natural number").text)
+            nat = self._expect("nat", "a natural number")
+            try:
+                offset = int(nat.text)
+            except ValueError:  # past the interpreter's int conversion limit
+                self._fail(f"natural number too long ({len(nat.text)} digits)", nat)
         self._expect("sched", "'>>'")
         source = self._state()
         self._expect("arrow", "'=>'")

@@ -110,6 +110,14 @@ def test_decide_states(files, capsys):
     assert capsys.readouterr().out == "REACHABLE\n"
 
 
+def test_decide_and_reach_on_an_undeclared_state(files, capsys):
+    # A state is declared by use: `decide` proves a name the contract never
+    # mentions unreachable, while `reach` only exhausts its search.
+    assert main(["decide", files["sample"], "--state", "Nope"]) == 0
+    assert capsys.readouterr().out == "UNREACHABLE\n"
+    assert main(["reach", files["sample"], "--state", "Nope"]) == 1
+    assert capsys.readouterr().out == "UNKNOWN (exhausted: 6 configurations, no limit hit)\n"
+
 def test_decide_not_di_exit_three(files, capsys):
     assert main(["decide", files["pingpong"], "--state", "Q3"]) == 3
     assert "NotDI" in capsys.readouterr().err

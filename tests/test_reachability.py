@@ -5,8 +5,8 @@ import pytest
 
 import mustipula as mu
 from mustipula.errors import DifferentContractsError, NotDIError
-from mustipula.semantics import EMPTY_PSI, Body, Configuration, Mode, PendingEvent, PendingSet
-from mustipula.syntax import ClauseId
+from mustipula.semantics import EMPTY_PSI, Body, Configuration, Mode, PendingEvent, PendingSet, moves
+from mustipula.syntax import ClauseId, Contract, EventDecl, FunctionDecl, TimeExpr
 
 from helpers import (
     all_clause_targets,
@@ -336,6 +336,16 @@ def test_explore_reports_psi_limit():
     assert all(len(c.psi) <= 3 for c in exploration.configs)
 
 
+def test_explore_counts_what_each_limit_pruned():
+    src = "stipula P {\n  init Q\n  @Q f {\n    now + 5 >> @A => @B\n  } => @Q\n}"
+    exploration, _ = mu.explore(mu.parse(src), Mode.TICK, mu.ExplorationLimits(1000, 2, 3))
+    assert (len(exploration.packed), exploration.limit_hit) == (40, "psi")
+    assert exploration.pruned == {"psi": 10, "clock": 10, "configs": 0}
+    contract = mu.encode(inc_chain(3), "d")
+    exploration, _ = mu.explore(contract, Mode.TICK_PLUS, mu.ExplorationLimits(60, 10, 6))
+    assert (len(exploration.packed), exploration.limit_hit) == (60, "configs")
+    assert exploration.pruned == {"psi": 4, "clock": 0, "configs": 1}
+
 def test_unreachable_clauses_sample():
     got = {ci.text(): v.status for ci, v in mu.unreachable_clauses(sample()).items()}
     assert got == {
@@ -546,12 +556,40 @@ def test_unreachable_clauses_agrees_with_per_clause_decisions():
         }, mu.render(c)
 
 
+def _event(offset, source, target, line):
+    return EventDecl(TimeExpr(offset), source, target, line)
+
+
+def _corner_contracts():
+    """Unvalidated contracts for the packed engine's corner cases."""
+    # Four events firable at once after `f`: two distinct events share line
+    # 3, and `ev:10` sorts before `ev:9`.  The empty-body call `g` and the
+    # event on line 20 both install the continuation `-- => B`.
+    yield Contract("Clash", "A", (
+        FunctionDecl("A", "f", (
+            _event(0, "A", "B", 3), _event(0, "A", "C", 3),
+            _event(0, "A", "D", 9), _event(0, "A", "E", 10),
+        ), "A"),
+        FunctionDecl("A", "g", (), "B"),
+        FunctionDecl("B", "k", (_event(0, "A", "B", 20),), "A"),
+        FunctionDecl("C", "k", (), "A"),
+    ))
+    # `p` piles up copies of one pending event; `big`'s event never comes due.
+    yield Contract("Copies", "B", (
+        FunctionDecl("B", "p", (_event(1, "B", "C", 30),), "B"),
+        FunctionDecl("C", "big", (_event(1_000_000, "C", "A", 40),), "C"),
+        FunctionDecl("C", "back", (), "B"),
+    ))
+
+
 def _forward_corpus():
-    """PingPong, Sample, the i/ta/d encodings of the suite machines and of
-    inc_chain(1..6), and the generated DI corpus."""
+    """PingPong, Sample, the corner-case contracts, the i/ta/d encodings of
+    the suite machines and of inc_chain(1..6), and the generated DI
+    corpus."""
     machines = list(machine_suite().values()) + [inc_chain(n) for n in range(1, 7)]
     yield pingpong()
     yield sample()
+    yield from _corner_contracts()
     for machine in machines:
         for fragment in ("i", "ta", "d"):
             yield mu.encode(machine, fragment)
@@ -580,3 +618,51 @@ def test_forward_engine_agrees_with_reference(mode):
             got = mu.run_random(contract, 60, seed, mode)
             assert mu.trace_json(got) == mu.trace_json(reference_run_random(contract, 60, seed, mode))
     assert set(stats) == {None, "configs", "clock", "psi"}
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_step_table_agrees_with_moves(mode):
+    # From every node of a capped search, the packed moves decode to
+    # `semantics.moves` in label-text order: one move per distinct firable
+    # event, however many copies are pending.
+    for contract in _forward_corpus():
+        exploration, _ = mu.explore(contract, mode, mu.ExplorationLimits(400, 40, 12))
+        table = exploration.table
+        for key in exploration.packed:
+            got = [
+                (label, *table.decode(nxt), ticks)
+                for label, nxt, ticks in table.moves(*key, mode is Mode.TICK_PLUS)
+            ]
+            want = moves(contract, *table.decode(key), mode)
+            assert got == sorted(want, key=lambda move: move[0].text())
+
+def test_explore_from_a_start_agrees_with_reference():
+    # Starts with pending events, a continuation, undeclared event shapes
+    # and an undeclared state.
+    contract = pingpong()
+    declared = PendingEvent(1, 4, "Q1", "Q2")
+    foreign = PendingEvent(0, 99, "Q0", "Q3")
+    starts = [
+        Configuration(contract, "Q0", None, PendingSet([declared, declared])),
+        Configuration(contract, "Q1", None, PendingSet([declared, PendingEvent(0, 7, "Q3", "Q0")])),
+        Configuration(contract, "Q2", Body(PendingSet([declared]), "Q1"), PendingSet([declared])),
+        Configuration(contract, "Q0", None, PendingSet([foreign, declared])),
+        Configuration(contract, "Z", Body(PendingSet([foreign]), "Q0"), EMPTY_PSI, 5),
+    ]
+    for mode in Mode:
+        for start in starts:
+            for limits in (mu.ExplorationLimits(400, 40, 12), mu.ExplorationLimits(400, 3, 3)):
+                configs, parents, complete, limit_hit = reference_explore(contract, mode, limits, start)
+                exploration, _ = mu.explore(contract, mode, limits, start=start)
+                assert exploration.keys == [(c.state, c.sigma, c.psi) for c in configs]
+                assert exploration.clocks == [c.clock for c in configs]
+                assert exploration.parents == parents
+                assert (exploration.complete, exploration.limit_hit) == (complete, limit_hit)
+    # The undeclared shape got a table of its own.
+    assert contract.step_table.shapes == [(4, "Q1", "Q2"), (7, "Q3", "Q0")]
+
+
+def test_explore_keeps_the_ta_chain_search():
+    exploration, node = mu.explore(mu.encode(inc_chain(12), "ta"), target_state="QF")
+    assert len(exploration.keys) == 17_327 and node == 17_326
+    assert max(len(psi) for _, _, psi in exploration.keys) == 32

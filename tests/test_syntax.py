@@ -76,6 +76,9 @@ ERROR_TABLE = [
     ("unexpected character after a number too long to convert",
      H + "  @Q f {\n    now + " + "1" * 5000 + " >> @A => @B\n  } => @R\n%",
      StipulaSyntaxError, "unexpected character '%'", 6, 1),
+    ("natural number too long to convert",
+     H + "  @Q f {\n    now + " + "1" * 5000 + " >> @A => @B\n  } => @R\n}",
+     StipulaSyntaxError, "natural number too long (5000 digits)", 4, 11),
     ("keyword stipula", "contract E { init Q }",
      StipulaSyntaxError, "expected keyword 'stipula', found 'contract'", 1, 1),
     ("keyword init", "stipula E {\n  start Q\n}",
