@@ -94,11 +94,18 @@ def _cmd_classify(args) -> int:
 def _cmd_run(args) -> int:
     steps = _natural(args.steps, "--steps")
     contract = syntax.parse(_read(args.file))
-    trace = semantics.run_random(contract, steps, args.seed, semantics.Mode.of(args.mode))
+    taken = semantics.random_steps(contract, steps, args.seed, semantics.Mode(args.mode))
+    # Each step is printed as it is taken, so a long run holds one step at a
+    # time; the JSON text is the same as `trace_json`'s.
     if args.json:
-        print(semantics.trace_json(trace))
+        sys.stdout.write("[")
+        for i, step in enumerate(taken):
+            if i:
+                sys.stdout.write(",")
+            sys.stdout.write(json.dumps(semantics.step_payload(step), separators=(",", ":")))
+        print("]")
     else:
-        for step in trace.steps:
+        for step in taken:
             cfg = step.config
             print(
                 f"{step.label.text():<14} state={cfg.state} "
@@ -110,7 +117,7 @@ def _cmd_run(args) -> int:
 def _cmd_reach(args) -> int:
     contract = syntax.parse(_read(args.file))
     verdict = reachability.bounded_reach(
-        contract, args.state, _limits(args), semantics.Mode.of(args.mode)
+        contract, args.state, _limits(args), semantics.Mode(args.mode)
     )
     if verdict.status == "reachable":
         print("REACHABLE")
@@ -137,7 +144,7 @@ def _cmd_decide(args) -> int:
 def _cmd_unreachable(args) -> int:
     contract = syntax.parse(_read(args.file))
     verdicts = reachability.unreachable_clauses(
-        contract, _limits(args), semantics.Mode.of(args.mode)
+        contract, _limits(args), semantics.Mode(args.mode)
     )
     ordered = sorted(
         verdicts.items(), key=lambda item: (item[0].kind, item[0].label, item[0].source)

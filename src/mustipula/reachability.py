@@ -33,7 +33,6 @@ from .semantics import (
     EMPTY_PSI,
     Body,
     Configuration,
-    Continuation,
     Label,
     Mode,
     PendingEvent,
@@ -46,7 +45,7 @@ from .semantics import (
 )
 # Kept importable: perfbench/tracer.py wraps `reachability.successors`.
 from .semantics import successors  # noqa: F401
-from .syntax import ClauseId, Contract, StateName
+from .syntax import ClauseId, Contract, StateName, validate
 
 
 @dataclass(frozen=True)
@@ -251,7 +250,6 @@ class _Backward:
         states = self.states
         basis = CoverBasis()
         frontier: deque[Configuration] = deque()
-        bare: list[StateName] = []  # the states q of (q, --, --) elements
 
         def admit(cfg: Configuration) -> bool:
             """Add `cfg`; true when that settles the target as coverable."""
@@ -260,10 +258,8 @@ class _Backward:
             known = states.get(cfg.state) if cfg.sigma is None else None
             if known is False:
                 return False
-            if cfg.sigma is None and not cfg.psi:
-                if known:
-                    return True
-                bare.append(cfg.state)
+            if known and not cfg.psi:
+                return True
             frontier.append(cfg)
             return False
 
@@ -277,8 +273,11 @@ class _Backward:
                 states[target.state] = True
         else:
             # Every element lies in the target's predecessor closure, which
-            # misses the initial configuration.
-            states.update(dict.fromkeys(bare, False))
+            # misses the initial configuration.  An element (q, --, --)
+            # covers its whole bucket, so it is alone there.
+            for (state, sigma), bucket in basis._buckets.items():
+                if sigma is None and not bucket[0].psi:
+                    states[state] = False
         return covered
 
     def _preds(self, cfg: Configuration) -> frozenset[Configuration]:
@@ -325,18 +324,16 @@ def event_target(contract: Contract, line: int) -> Configuration:
 @dataclass
 class Exploration:
     """Result of a breadth-first forward search over the configuration graph
-    up to clocks.  Node i is the configuration `keys[i]` = (state, sigma,
-    psi) with clock `clocks[i]`, the ticks along its path in the BFS tree
-    `parents`.  `complete` means no cap pruned anything, so the nodes are
-    the entire reachable quotient space.
+    up to clocks.  Node i is the configuration (state, sigma, psi) kept as
+    `packed[i]` in the ids of `table`, with clock `clocks[i]`, the ticks
+    along its path in the BFS tree `parents`.  `complete` means no cap
+    pruned anything, so the nodes are the entire reachable quotient space.
 
-    The search keeps each node as `packed[i]`, its key in the ids of
-    `table`; `keys`, `configs`, `config`, `path` and `visited_states`
-    decode on demand.  `pruned` counts, per limit, the steps to unvisited
-    configurations that the limit turned away."""
+    `configs`, `config` and `path` decode on demand.  `pruned` counts, per
+    limit, the steps to unvisited configurations that the limit turned
+    away."""
 
     contract: Contract
-    mode: Mode
     table: StepTable
     packed: list[tuple]
     clocks: list[int]
@@ -347,15 +344,10 @@ class Exploration:
     pruned: dict[str, int] = field(default_factory=lambda: {"psi": 0, "clock": 0, "configs": 0})
 
     @functools.cached_property
-    def keys(self) -> list[tuple[StateName, Continuation, PendingSet]]:
-        """Every node's (state, sigma, psi), decoded on first access."""
-        return [self.table.decode(key) for key in self.packed]
-
-    @functools.cached_property
     def configs(self) -> list[Configuration]:
         """Every node as a configuration, built on first access."""
-        contract = self.contract
-        return [Configuration(contract, *key, clock) for key, clock in zip(self.keys, self.clocks)]
+        contract, decode = self.contract, self.table.decode
+        return [Configuration(contract, *decode(key), clock) for key, clock in zip(self.packed, self.clocks)]
 
     def config(self, node: int) -> Configuration:
         """Node `node` as a configuration: the cached one once `configs`
@@ -368,8 +360,7 @@ class Exploration:
     def visited_states(self) -> frozenset[StateName]:
         """States reachable per the reachability definition: some visited
         configuration has that state and an empty continuation."""
-        names = self.table.state_names
-        return frozenset(names[state] for state, sigma, _ in self.packed if sigma is None)
+        return frozenset(state for state, sigma, _ in self.packed if sigma is None)
 
     def path(self, node: int) -> tuple[TraceStep, ...]:
         """The steps of the tree path from the start configuration to
@@ -407,10 +398,9 @@ def explore(
         start.psi if start.sigma is None else start.psi + start.sigma.events
     )
     first = table.encode(start.state, start.sigma, start.psi)
-    exploration = Exploration(contract, mode, table, [first], [0], [None], [])
+    exploration = Exploration(contract, table, [first], [0], [None], [])
     if target_state == start.state and start.sigma is None:
         return exploration, 0
-    target = None if target_state is None else table.state(target_state)
     packed, clocks = exploration.packed, exploration.clocks
     parents, edges, pruned = exploration.parents, exploration.edges, exploration.pruned
     max_configs, max_clock, max_psi = limits.max_configs, limits.max_clock, limits.max_psi
@@ -444,7 +434,7 @@ def explore(
             parents.append((node, label))
             if record_edges:
                 edges.append((node, label, child))
-            if key[0] == target and key[1] is None:
+            if key[0] == target_state and key[1] is None:
                 return exploration, child
             queue.append(child)
     exploration.complete = exploration.limit_hit is None
@@ -486,10 +476,9 @@ def reachable_states(
 def _edge_clause(exploration: Exploration, edge) -> ClauseId | None:
     node, label, child = edge
     if label.kind == "call":
-        table, packed = exploration.table, exploration.packed
-        source = table.state_names[packed[node][0]]
-        target = table.state_names[table.sigma_parts[packed[child][1]][0]]
-        return ClauseId("function", source, label.name, target)
+        packed = exploration.packed
+        target = exploration.table.sigma_parts[packed[child][1]][0]
+        return ClauseId("function", packed[node][0], label.name, target)
     if label.kind == "event":
         ev = exploration.contract.event_at_line(label.line)
         return ClauseId.of_event(ev)
@@ -510,7 +499,11 @@ def unreachable_clauses(
     occurrence of the event.  The DI clause targets share predecessor
     bases and decided state verdicts.  Other contracts fall back to an
     instrumented forward search and report Reachable or Unknown only.
+
+    Verdicts are keyed by `ClauseId`, which names an event by its line-code,
+    so a contract that `syntax.validate` rejects raises its error here.
     """
+    validate(contract)
     verdicts: dict[ClauseId, Verdict] = {}
     if contract.fragment_set.det_instantaneous:
         backward = _Backward(contract)

@@ -19,7 +19,7 @@ is a multiset of pending events.  Four rules drive execution:
 No rule reads the clock; it is carried for trace readability only.
 
 `moves` is the transition function over the parts (state, sigma, psi);
-`successors` and `run_random` build configurations from it.  They emit a
+`successors` and `random_steps` build configurations from it.  They emit a
 configuration at every step and hash none, so interning the parts cannot
 pay there.  `StepTable` is the same function on interned ids, compiled once
 per contract, for the forward search, which hashes every configuration it
@@ -32,7 +32,7 @@ import enum
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .syntax import Contract, EventDecl, StateName
 
@@ -154,13 +154,6 @@ class Mode(enum.Enum):
     TICK = "tick"
     TICK_PLUS = "tickplus"
 
-    @classmethod
-    def of(cls, text: str) -> "Mode":
-        for mode in cls:
-            if mode.value == text:
-                return mode
-        raise ValueError(f"unknown mode {text!r}")
-
 
 def initial_config(contract: Contract) -> Configuration:
     """The starting configuration: initial state, no continuation, no
@@ -246,7 +239,7 @@ class StepTable:
     """`moves` for the forward search, over interned ids, compiled once per
     contract (`Contract.step_table`).
 
-    A state is a small int.  A continuation is an int interned on its value
+    A state is its name.  A continuation is an int interned on its value
     `(body, target)`, so equal continuations share one id however they
     arise; the empty continuation is None.  A pending event is the int
     `delay * K + shape`, where `shape` numbers the distinct (line, source,
@@ -256,24 +249,22 @@ class StepTable:
     K whose source is the current state.
 
     Shapes are numbered in one pass over the events, so K is fixed when the
-    table is built; states and continuations are interned as they are met,
-    and each state's call moves are compiled on its first visit."""
+    table is built; continuations are interned as they are met, and each
+    state's call moves are compiled on its first visit."""
 
     def __init__(self, contract: Contract, extra: Iterable[PendingEvent] = ()):
         self.contract = contract
-        self.state_ids: dict[StateName, int] = {}
-        self.state_names: list[StateName] = []
         self.sigma_ids: dict[tuple, int] = {}
         self.sigmas: list[Body] = []  # id -> the continuation it stands for
-        self.sigma_parts: list[tuple[int, tuple]] = []  # id -> (target, body)
-        self._calls: list = []  # state -> (call moves, whether in InitEv)
+        self.sigma_parts: list[tuple[StateName, tuple]] = []  # id -> (target, body)
+        self._calls: dict = {}  # state -> (call moves, whether in InitEv)
         self._events: dict[int, PendingEvent] = {}  # decoded pending events
         shapes = {(ev.line, ev.source, ev.target) for ev in contract.events()}
         shapes.update(ev[1:] for ev in extra)
         self.shapes = sorted(shapes)
         self.shape_ids = {shape: i for i, shape in enumerate(self.shapes)}
         self.K = max(1, len(self.shapes))
-        self.shape_source = [self.state(source) for _, source, _ in self.shapes]
+        self.shape_source = [source for _, source, _ in self.shapes]
         self.shape_label = [Label("event", line=line) for line, _, _ in self.shapes]
         self.shape_fire = [self.sigma(Body(EMPTY_PSI, target)) for _, _, target in self.shapes]
         # Firable events sort as their label texts do (`ev:10` before
@@ -286,20 +277,12 @@ class StepTable:
         extra = [ev for ev in events if ev[1:] not in self.shape_ids]
         return StepTable(self.contract, extra) if extra else self
 
-    def state(self, name: StateName) -> int:
-        sid = self.state_ids.get(name)
-        if sid is None:
-            sid = self.state_ids[name] = len(self.state_names)
-            self.state_names.append(name)
-            self._calls.append(None)
-        return sid
-
     def pack(self, psi: Iterable[PendingEvent]) -> tuple[int, ...]:
         K, ids = self.K, self.shape_ids
         return tuple(sorted(ev.delay * K + ids[ev[1:]] for ev in psi))
 
     def sigma(self, body: Body) -> int:
-        parts = (self.state(body.target), self.pack(body.events))
+        parts = (body.target, self.pack(body.events))
         sid = self.sigma_ids.get(parts)
         if sid is None:
             sid = self.sigma_ids[parts] = len(self.sigmas)
@@ -308,7 +291,7 @@ class StepTable:
         return sid
 
     def encode(self, state: StateName, sigma: Continuation, psi: PendingSet) -> tuple:
-        return self.state(state), None if sigma is None else self.sigma(sigma), self.pack(psi)
+        return state, None if sigma is None else self.sigma(sigma), self.pack(psi)
 
     def pending(self, psi: tuple[int, ...]) -> PendingSet:
         """Packed psi as a `PendingSet`, already in its order."""
@@ -324,17 +307,16 @@ class StepTable:
 
     def decode(self, key: tuple) -> tuple[StateName, Continuation, PendingSet]:
         state, sigma, psi = key
-        return self.state_names[state], None if sigma is None else self.sigmas[sigma], self.pending(psi)
+        return state, None if sigma is None else self.sigmas[sigma], self.pending(psi)
 
-    def _compile(self, state: int):
-        name = self.state_names[state]
+    def _compile(self, state: StateName):
         # Call labels sort as their texts do: by name, ties in declaration order.
-        fns = sorted(self.contract.by_source.get(name, ()), key=lambda fn: fn.name)
+        fns = sorted(self.contract.by_source.get(state, ()), key=lambda fn: fn.name)
         calls = tuple((fn.call[0], self.sigma(fn.call[1])) for fn in fns)
-        compiled = self._calls[state] = (calls, name in self.contract.init_ev)
+        compiled = self._calls[state] = (calls, state in self.contract.init_ev)
         return compiled
 
-    def moves(self, state: int, sigma: int | None, psi: tuple, tick_plus: bool) -> list:
+    def moves(self, state: StateName, sigma: int | None, psi: tuple, tick_plus: bool) -> list:
         """`moves` on packed parts, as (label, (state', sigma', psi'), ticks)
         in label-text order: the order `explore` expands them in."""
         if sigma is not None:
@@ -355,7 +337,7 @@ class StepTable:
                 i = psi.index(e)
                 out.append((self.shape_label[e], (state, self.shape_fire[e], psi[:i] + psi[i + 1 :]), 0))
             return out
-        calls, in_init_ev = self._calls[state] or self._compile(state)
+        calls, in_init_ev = self._calls.get(state) or self._compile(state)
         out = [(label, (state, sid, psi), 0) for label, sid in calls]
         if not (tick_plus and in_init_ev):
             out.append((TICK, (state, None, tuple([e - K for e in psi if e >= K])), 1))
@@ -403,23 +385,29 @@ class Trace:
         return len(self.steps)
 
 
-def run_random(
+def random_steps(
     contract: Contract, steps: int, seed: int, mode: Mode = Mode.TICK
-) -> Trace:
-    """Sample a run of at most `steps` transitions, picking uniformly among
-    the enabled successors with the given seed.  Deterministic in
-    (contract, steps, seed, mode); stops early when no successor exists."""
+) -> Iterator[TraceStep]:
+    """Take at most `steps` transitions, picking uniformly among the enabled
+    successors with the given seed, and yield each step as it is taken.
+    Deterministic in (contract, steps, seed, mode); stops early when no
+    successor exists."""
     rng = random.Random(seed)
     state, sigma, psi, clock = contract.init, None, EMPTY_PSI, 0
-    taken = []
     for _ in range(steps):
         options = moves(contract, state, sigma, psi, mode)
         if not options:
-            break
+            return
         label, state, sigma, psi, ticks = rng.choice(options)
         clock += ticks
-        taken.append(TraceStep(label, Configuration(contract, state, sigma, psi, clock)))
-    return Trace(tuple(taken))
+        yield TraceStep(label, Configuration(contract, state, sigma, psi, clock))
+
+
+def run_random(
+    contract: Contract, steps: int, seed: int, mode: Mode = Mode.TICK
+) -> Trace:
+    """The steps of `random_steps` as a trace."""
+    return Trace(tuple(random_steps(contract, steps, seed, mode)))
 
 
 # ---------------------------------------------------------------------------
@@ -437,19 +425,22 @@ def _sigma_json(sigma: Continuation):
     return {"events": _psi_json(sigma.events), "target": sigma.target}
 
 
+def step_payload(step: TraceStep) -> dict:
+    """The JSON-ready form of one step: the label, the reached state, sigma,
+    psi, and the clock."""
+    cfg = step.config
+    return {
+        "label": step.label.text(),
+        "state": cfg.state,
+        "sigma": _sigma_json(cfg.sigma),
+        "psi": _psi_json(cfg.psi),
+        "clock": cfg.clock,
+    }
+
+
 def trace_payload(trace: Trace) -> list:
-    """The JSON-ready form of a trace: one object per step with the label,
-    the reached state, sigma, psi, and the clock."""
-    return [
-        {
-            "label": step.label.text(),
-            "state": step.config.state,
-            "sigma": _sigma_json(step.config.sigma),
-            "psi": _psi_json(step.config.psi),
-            "clock": step.config.clock,
-        }
-        for step in trace.steps
-    ]
+    """The JSON-ready form of a trace: one object per step."""
+    return [step_payload(step) for step in trace.steps]
 
 
 def trace_json(trace: Trace) -> str:

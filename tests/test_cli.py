@@ -1,9 +1,13 @@
+import contextlib
 import json
+import os
 import pathlib
 import shlex
+import tracemalloc
 
 import pytest
 
+from mustipula import parse, run_random, trace_json
 from mustipula.cli import main
 
 from helpers import CHAIN, MACHINES, PINGPONG, SAMPLE
@@ -69,6 +73,27 @@ def test_run_json_schema(files, capsys):
     assert len(steps) == 5
     for step in steps:
         assert set(step) == {"label", "state", "sigma", "psi", "clock"}
+    # The streamed text is `trace_json`'s, also for an empty run.
+    for n in (0, 1, 5):
+        assert main(["run", files["pingpong"], "--steps", str(n), "--seed", "1", "--json"]) == 0
+        trace = run_random(parse(PINGPONG), n, 1)
+        assert capsys.readouterr().out == trace_json(trace) + "\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_run_streams_its_steps(tmp_path, flags):
+    # A contract that only ticks runs as long as asked; each step is
+    # printed as it is taken, so memory stays flat.
+    path = tmp_path / "e.stipula"
+    path.write_text("stipula E { init Q }")
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            assert main(["run", str(path), "--steps", "100000", *flags]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_run_text_mode_deterministic(files, capsys):

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 import mustipula as mu
-from mustipula.errors import DifferentContractsError, NotDIError
+from mustipula.errors import DifferentContractsError, InvalidContractError, NotDIError
 from mustipula.semantics import EMPTY_PSI, Body, Configuration, Mode, PendingEvent, PendingSet, moves
 from mustipula.syntax import ClauseId, Contract, EventDecl, FunctionDecl, TimeExpr
 
@@ -261,7 +261,7 @@ def test_bounded_reach_witness_clock_rematerialized():
 def test_explore_clocks_count_ticks_on_tree_paths():
     contract = mu.encode(machine_suite()["count_down"], "d")
     exploration, _ = mu.explore(contract, Mode.TICK, ENCODING_LIMITS["d"])
-    last = len(exploration.keys) - 1
+    last = len(exploration.packed) - 1
     witness = exploration.path(last)
     assert "configs" not in vars(exploration)  # built only when asked for
     assert exploration.complete and len(exploration.configs) > 100
@@ -560,6 +560,28 @@ def _event(offset, source, target, line):
     return EventDecl(TimeExpr(offset), source, target, line)
 
 
+def _line_clashes():
+    """Unvalidated contracts whose two distinct events share line 3."""
+    # DI: `g` never runs, so its event `E0 ev_3 F2` is unreachable.
+    yield Contract("DiClash", "F0", (
+        FunctionDecl("F0", "f", (_event(0, "E0", "F1", 3),), "E0"),
+        FunctionDecl("G", "g", (_event(0, "E0", "F2", 3),), "E0"),
+    ))
+    # Not DI: `A ev_3 B` and `A ev_3 C` both fire after `f`.
+    yield Contract("Clash", "A", (
+        FunctionDecl("A", "f", (_event(0, "A", "B", 3), _event(0, "A", "C", 3)), "A"),
+        FunctionDecl("B", "k", (), "A"),
+    ))
+
+
+@pytest.mark.parametrize("contract", list(_line_clashes()), ids=lambda c: c.name)
+def test_unreachable_clauses_rejects_clashing_line_codes(contract):
+    # Verdicts are keyed by line-code, so a clash would give one event the
+    # verdict of the other.
+    with pytest.raises(InvalidContractError, match="duplicate event line-code 3"):
+        mu.unreachable_clauses(contract, LIMITS)
+
+
 def _corner_contracts():
     """Unvalidated contracts for the packed engine's corner cases."""
     # Four events firable at once after `f`: two distinct events share line
@@ -606,8 +628,7 @@ def test_forward_engine_agrees_with_reference(mode):
         for limits in (wide, mu.ExplorationLimits(400, 2, 4), mu.ExplorationLimits(400, 1, 12)):
             configs, parents, complete, limit_hit = reference_explore(contract, mode, limits)
             exploration, _ = mu.explore(contract, mode, limits)
-            assert exploration.keys == [(c.state, c.sigma, c.psi) for c in configs]
-            assert exploration.clocks == [c.clock for c in configs]
+            assert exploration.configs == configs
             assert exploration.parents == parents
             assert (exploration.complete, exploration.limit_hit) == (complete, limit_hit)
             stats[limit_hit] += 1
@@ -654,8 +675,7 @@ def test_explore_from_a_start_agrees_with_reference():
             for limits in (mu.ExplorationLimits(400, 40, 12), mu.ExplorationLimits(400, 3, 3)):
                 configs, parents, complete, limit_hit = reference_explore(contract, mode, limits, start)
                 exploration, _ = mu.explore(contract, mode, limits, start=start)
-                assert exploration.keys == [(c.state, c.sigma, c.psi) for c in configs]
-                assert exploration.clocks == [c.clock for c in configs]
+                assert exploration.configs == configs
                 assert exploration.parents == parents
                 assert (exploration.complete, exploration.limit_hit) == (complete, limit_hit)
     # The undeclared shape got a table of its own.
@@ -664,5 +684,5 @@ def test_explore_from_a_start_agrees_with_reference():
 
 def test_explore_keeps_the_ta_chain_search():
     exploration, node = mu.explore(mu.encode(inc_chain(12), "ta"), target_state="QF")
-    assert len(exploration.keys) == 17_327 and node == 17_326
-    assert max(len(psi) for _, _, psi in exploration.keys) == 32
+    assert len(exploration.packed) == 17_327 and node == 17_326
+    assert max(len(psi) for _, _, psi in exploration.packed) == 32

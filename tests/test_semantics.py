@@ -293,10 +293,10 @@ def test_mode_agreement_outside_initev_or_with_continuation():
 
 
 def test_mode_of():
-    assert Mode.of("tick") is Mode.TICK
-    assert Mode.of("tickplus") is Mode.TICK_PLUS
+    assert Mode("tick") is Mode.TICK
+    assert Mode("tickplus") is Mode.TICK_PLUS
     with pytest.raises(ValueError):
-        Mode.of("warp")
+        Mode("warp")
 
 
 def test_chain_full_run():
