@@ -2,13 +2,15 @@
 
 Exit codes: 0 success (including a definite UNREACHABLE verdict), 1 bounded
 search gave UNKNOWN, 2 parse error or invalid argument, 3 fragment
-precondition violated, 4 I/O failure.
+precondition violated, 4 I/O failure.  A reader closing stdout early, as in
+`mustipula run FILE --steps 200000 | head -2`, is no failure: exit 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import fragments, minsky, reachability, semantics, syntax
@@ -253,6 +255,11 @@ def main(argv: list[str] | None = None) -> int:
     except (MuStipulaError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
+    except BrokenPipeError:
+        # Output still buffered would fail again at the interpreter's exit
+        # flush, so stdout now writes to the null device.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO

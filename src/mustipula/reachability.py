@@ -45,7 +45,7 @@ from .semantics import (
 )
 # Kept importable: perfbench/tracer.py wraps `reachability.successors`.
 from .semantics import successors  # noqa: F401
-from .syntax import ClauseId, Contract, StateName, validate
+from .syntax import ClauseId, Contract, EventDecl, StateName, validate
 
 
 @dataclass(frozen=True)
@@ -159,12 +159,6 @@ def minimize_basis(configs: Iterable[Configuration]) -> CoverBasis:
 # ---------------------------------------------------------------------------
 
 
-def _canon(cfg: Configuration) -> Configuration:
-    if cfg.clock == 0:
-        return cfg
-    return Configuration(cfg.contract, cfg.state, cfg.sigma, cfg.psi, 0)
-
-
 def _require_di(contract: Contract):
     if not contract.fragment_set.det_instantaneous:
         raise NotDIError(
@@ -189,27 +183,26 @@ def pred_basis(contract: Contract, target: Configuration) -> frozenset[Configura
     predecessor, since decrementing any DI multiset empties it.
     """
     _require_di(contract)
-    t = _canon(target)
     preds = set()
-    if t.sigma is not None:
-        body_events, body_target = t.sigma
-        for fn in contract.by_source.get(t.state, ()):
+    if target.sigma is not None:
+        body_events, body_target = target.sigma
+        for fn in contract.by_source.get(target.state, ()):
             if fn.target == body_target and fn.lowered == body_events:
-                preds.add(Configuration(contract, t.state, None, t.psi, 0))
+                preds.add(Configuration(contract, target.state, None, target.psi, 0))
         if not body_events:
             for ev in contract.events_by_target.get(body_target, ()):
-                if ev.source == t.state:
-                    psi = t.psi.union([PendingEvent(0, ev.line, ev.source, ev.target)])
-                    preds.add(Configuration(contract, t.state, None, psi, 0))
+                if ev.source == target.state:
+                    psi = target.psi.union([PendingEvent(0, ev.line, ev.source, ev.target)])
+                    preds.add(Configuration(contract, target.state, None, psi, 0))
     else:
-        for fn in contract.by_target.get(t.state, ()):
+        for fn in contract.by_target.get(target.state, ()):
             body = Body(fn.lowered, fn.target)
-            preds.add(Configuration(contract, fn.source, body, t.psi.minus(fn.lowered), 0))
-        for ev in contract.events_by_target.get(t.state, ()):
-            body = Body(EMPTY_PSI, t.state)
-            preds.add(Configuration(contract, ev.source, body, t.psi, 0))
-        if not t.psi and t.state not in contract.init_ev:
-            preds.add(Configuration(contract, t.state, None, EMPTY_PSI, 0))
+            preds.add(Configuration(contract, fn.source, body, target.psi.minus(fn.lowered), 0))
+        for ev in contract.events_by_target.get(target.state, ()):
+            body = Body(EMPTY_PSI, target.state)
+            preds.add(Configuration(contract, ev.source, body, target.psi, 0))
+        if not target.psi and target.state not in contract.init_ev:
+            preds.add(Configuration(contract, target.state, None, EMPTY_PSI, 0))
     return frozenset(preds)
 
 
@@ -246,7 +239,6 @@ class _Backward:
         coverable stays in the basis for subsumption but is not expanded:
         nothing in its upward cone is reachable, so nothing in its
         predecessor closure is either."""
-        target = _canon(target)
         states = self.states
         basis = CoverBasis()
         frontier: deque[Configuration] = deque()
@@ -294,8 +286,10 @@ def decide_coverable(contract: Contract, target: Configuration) -> bool:
     Backward fixpoint: saturate the basis of the upward-closed set with
     predecessor bases until it covers the initial configuration or
     stabilizes (guaranteed by the well-quasi-ordering).  The verdict holds
-    for both the tick and tick-plus semantics.
+    for both the tick and tick-plus semantics.  A contract that
+    `syntax.validate` rejects raises its error, as in `unreachable_clauses`.
     """
+    validate(contract)
     _require_di(contract)
     _validate_target(contract, target)
     return _Backward(contract).decide(target)
@@ -308,10 +302,17 @@ def state_target(contract: Contract, state: StateName) -> Configuration:
 
 def event_target(contract: Contract, line: int) -> Configuration:
     """The coverability target for firing the event declared at `line`: its
-    source state with exactly that pending occurrence at delay 0."""
+    source state with exactly that pending occurrence at delay 0.  Raises
+    the `syntax.validate` error of a contract whose line-codes clash."""
+    validate(contract)
     ev = contract.event_at_line(line)
     if ev is None:
         raise ValueError(f"no event declared at line {line}")
+    return _fire_target(contract, ev)
+
+
+def _fire_target(contract: Contract, ev: EventDecl) -> Configuration:
+    """(ev's source, --, one pending occurrence of ev at delay 0)."""
     inst = PendingEvent(0, ev.line, ev.source, ev.target)
     return Configuration(contract, ev.source, None, PendingSet([inst]), 0)
 
@@ -391,26 +392,23 @@ def explore(
     `target_state` is given and some visited configuration has that state
     with an empty continuation, its node.
 
-    The search steps on the contract's `StepTable`; a start configuration
-    whose pending events the contract does not declare gets its own."""
+    The search steps on a `StepTable` built for this contract, start and
+    mode."""
     start = start if start is not None else initial_config(contract)
-    table = contract.step_table.including(
-        start.psi if start.sigma is None else start.psi + start.sigma.events
-    )
-    first = table.encode(start.state, start.sigma, start.psi)
-    exploration = Exploration(contract, table, [first], [0], [None], [])
+    table = StepTable(contract, start, mode)
+    exploration = Exploration(contract, table, [table.start], [0], [None], [])
     if target_state == start.state and start.sigma is None:
         return exploration, 0
     packed, clocks = exploration.packed, exploration.clocks
     parents, edges, pruned = exploration.parents, exploration.edges, exploration.pruned
     max_configs, max_clock, max_psi = limits.max_configs, limits.max_clock, limits.max_psi
-    step, tick_plus = table.moves, mode is Mode.TICK_PLUS
-    index = {first: 0}
+    step = table.moves
+    index = {table.start: 0}
     queue = deque([0])
     while queue:
         node = queue.popleft()
         clock = clocks[node]
-        for label, key, ticks in step(*packed[node], tick_plus):
+        for label, key, ticks in step(*packed[node]):
             known = index.get(key)
             if known is not None:
                 if record_edges:
@@ -516,7 +514,7 @@ def unreachable_clauses(
             # Deciding the source state first, with shared work, settles
             # the events of unreachable states at once.
             ok = backward.decide(state_target(contract, ev.source)) and backward.decide(
-                event_target(contract, ev.line)
+                _fire_target(contract, ev)
             )
             verdicts[ClauseId.of_event(ev)] = (
                 Verdict.reachable() if ok else Verdict.unreachable()

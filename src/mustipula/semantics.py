@@ -21,9 +21,9 @@ No rule reads the clock; it is carried for trace readability only.
 `moves` is the transition function over the parts (state, sigma, psi);
 `successors` and `random_steps` build configurations from it.  They emit a
 configuration at every step and hash none, so interning the parts cannot
-pay there.  `StepTable` is the same function on interned ids, compiled once
-per contract, for the forward search, which hashes every configuration it
-meets and builds configurations only for its output.
+pay there.  `StepTable` is the same function on interned ids, compiled for
+each forward search, which hashes every configuration it meets and builds
+configurations only for its output.
 """
 
 from __future__ import annotations
@@ -236,31 +236,34 @@ def moves(
 
 
 class StepTable:
-    """`moves` for the forward search, over interned ids, compiled once per
-    contract (`Contract.step_table`).
+    """`moves` for one forward search, over interned ids, compiled from the
+    contract, the search's start configuration and its mode.
 
     A state is its name.  A continuation is an int interned on its value
     `(body, target)`, so equal continuations share one id however they
     arise; the empty continuation is None.  A pending event is the int
     `delay * K + shape`, where `shape` numbers the distinct (line, source,
-    target) triples in sorted order, and psi is a sorted tuple of those
-    ints: packed order is `PendingSet` order.  A tick subtracts K from every
-    entry and drops those below K; the firable events are the entries below
-    K whose source is the current state.
+    target) triples of the contract's and the start's events in sorted
+    order, and psi is a sorted tuple of those ints: packed order is
+    `PendingSet` order.  A tick subtracts K from every entry and drops those
+    below K; the firable events are the entries below K whose source is the
+    current state.  `start` is the start configuration's packed key.
 
-    Shapes are numbered in one pass over the events, so K is fixed when the
-    table is built; continuations are interned as they are met, and each
-    state's call moves are compiled on its first visit."""
+    Shapes are numbered in one pass, so K is fixed when the table is built;
+    continuations are interned as they are met, and each state's call moves
+    and tick permission are compiled on its first visit."""
 
-    def __init__(self, contract: Contract, extra: Iterable[PendingEvent] = ()):
+    def __init__(self, contract: Contract, start: Configuration, mode: Mode):
         self.contract = contract
+        self.mode = mode
         self.sigma_ids: dict[tuple, int] = {}
         self.sigmas: list[Body] = []  # id -> the continuation it stands for
         self.sigma_parts: list[tuple[StateName, tuple]] = []  # id -> (target, body)
-        self._calls: dict = {}  # state -> (call moves, whether in InitEv)
+        self._calls: dict = {}  # state -> (call moves, whether it may tick)
         self._events: dict[int, PendingEvent] = {}  # decoded pending events
         shapes = {(ev.line, ev.source, ev.target) for ev in contract.events()}
-        shapes.update(ev[1:] for ev in extra)
+        own = start.psi if start.sigma is None else start.psi + start.sigma.events
+        shapes.update(ev[1:] for ev in own)
         self.shapes = sorted(shapes)
         self.shape_ids = {shape: i for i, shape in enumerate(self.shapes)}
         self.K = max(1, len(self.shapes))
@@ -270,12 +273,8 @@ class StepTable:
         # Firable events sort as their label texts do (`ev:10` before
         # `ev:9`), ties in shape order.
         self.shape_rank = [(f"ev:{line}", i) for i, (line, _, _) in enumerate(self.shapes)]
-
-    def including(self, events: Iterable[PendingEvent]) -> "StepTable":
-        """This table, or a fresh one when some of `events` has a shape it
-        does not number."""
-        extra = [ev for ev in events if ev[1:] not in self.shape_ids]
-        return StepTable(self.contract, extra) if extra else self
+        sigma = None if start.sigma is None else self.sigma(start.sigma)
+        self.start = (start.state, sigma, self.pack(start.psi))
 
     def pack(self, psi: Iterable[PendingEvent]) -> tuple[int, ...]:
         K, ids = self.K, self.shape_ids
@@ -289,9 +288,6 @@ class StepTable:
             self.sigmas.append(body)
             self.sigma_parts.append(parts)
         return sid
-
-    def encode(self, state: StateName, sigma: Continuation, psi: PendingSet) -> tuple:
-        return state, None if sigma is None else self.sigma(sigma), self.pack(psi)
 
     def pending(self, psi: tuple[int, ...]) -> PendingSet:
         """Packed psi as a `PendingSet`, already in its order."""
@@ -313,10 +309,11 @@ class StepTable:
         # Call labels sort as their texts do: by name, ties in declaration order.
         fns = sorted(self.contract.by_source.get(state, ()), key=lambda fn: fn.name)
         calls = tuple((fn.call[0], self.sigma(fn.call[1])) for fn in fns)
-        compiled = self._calls[state] = (calls, state in self.contract.init_ev)
+        ticks = self.mode is Mode.TICK or state not in self.contract.init_ev
+        compiled = self._calls[state] = (calls, ticks)
         return compiled
 
-    def moves(self, state: StateName, sigma: int | None, psi: tuple, tick_plus: bool) -> list:
+    def moves(self, state: StateName, sigma: int | None, psi: tuple) -> list:
         """`moves` on packed parts, as (label, (state', sigma', psi'), ticks)
         in label-text order: the order `explore` expands them in."""
         if sigma is not None:
@@ -337,9 +334,9 @@ class StepTable:
                 i = psi.index(e)
                 out.append((self.shape_label[e], (state, self.shape_fire[e], psi[:i] + psi[i + 1 :]), 0))
             return out
-        calls, in_init_ev = self._calls.get(state) or self._compile(state)
+        calls, ticks = self._calls.get(state) or self._compile(state)
         out = [(label, (state, sid, psi), 0) for label, sid in calls]
-        if not (tick_plus and in_init_ev):
+        if ticks:
             out.append((TICK, (state, None, tuple([e - K for e in psi if e >= K])), 1))
         return out
 

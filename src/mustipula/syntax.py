@@ -122,14 +122,6 @@ class Contract:
         return fragments.classify(self)
 
     @functools.cached_property
-    def step_table(self):
-        """The forward search's interned transition table
-        (`semantics.StepTable`)."""
-        from .semantics import StepTable
-
-        return StepTable(self)
-
-    @functools.cached_property
     def events_by_line(self) -> dict[int, EventDecl]:
         """Each line-code's event; the first declaration wins a clash."""
         out: dict[int, EventDecl] = {}

@@ -3,6 +3,8 @@ import json
 import os
 import pathlib
 import shlex
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -89,11 +91,27 @@ def test_run_streams_its_steps(tmp_path, flags):
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
         tracemalloc.start()
         try:
-            assert main(["run", str(path), "--steps", "100000", *flags]) == 0
+            assert main(["run", str(path), "--steps", "20000", *flags]) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_run_into_a_closed_pipe_exits_zero():
+    # As in `mustipula run pingpong.stipula --steps 200000 | head -2`: the
+    # reader closes stdout after two lines, long before the run ends.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mustipula.cli", "run",
+         str(REPO / "contracts" / "pingpong.stipula"), "--steps", "200000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    lines = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=60)
+    assert all(line.endswith(b"\n") for line in lines)
+    assert (proc.returncode, stderr) == (0, b"")
 
 
 def test_run_text_mode_deterministic(files, capsys):

@@ -580,6 +580,11 @@ def test_unreachable_clauses_rejects_clashing_line_codes(contract):
     # verdict of the other.
     with pytest.raises(InvalidContractError, match="duplicate event line-code 3"):
         mu.unreachable_clauses(contract, LIMITS)
+    # Nor can a line-code lookup pick one of the two.
+    with pytest.raises(InvalidContractError, match="duplicate event line-code 3"):
+        mu.event_target(contract, 3)
+    with pytest.raises(InvalidContractError, match="duplicate event line-code 3"):
+        mu.decide_coverable(contract, mu.state_target(contract, contract.init))
 
 
 def _corner_contracts():
@@ -652,7 +657,7 @@ def test_step_table_agrees_with_moves(mode):
         for key in exploration.packed:
             got = [
                 (label, *table.decode(nxt), ticks)
-                for label, nxt, ticks in table.moves(*key, mode is Mode.TICK_PLUS)
+                for label, nxt, ticks in table.moves(*key)
             ]
             want = moves(contract, *table.decode(key), mode)
             assert got == sorted(want, key=lambda move: move[0].text())
@@ -678,8 +683,10 @@ def test_explore_from_a_start_agrees_with_reference():
                 assert exploration.configs == configs
                 assert exploration.parents == parents
                 assert (exploration.complete, exploration.limit_hit) == (complete, limit_hit)
-    # The undeclared shape got a table of its own.
-    assert contract.step_table.shapes == [(4, "Q1", "Q2"), (7, "Q3", "Q0")]
+                # The search's table numbers the declared shapes and its start's.
+                own = start.psi + (start.sigma.events if start.sigma else ())
+                shapes = {(4, "Q1", "Q2"), (7, "Q3", "Q0")} | {ev[1:] for ev in own}
+                assert exploration.table.shapes == sorted(shapes)
 
 
 def test_explore_keeps_the_ta_chain_search():
