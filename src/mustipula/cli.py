@@ -24,7 +24,8 @@ EXIT_IO = 4
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
+    # "utf-8-sig" drops a leading byte-order mark, which some editors write.
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return handle.read()
 
 

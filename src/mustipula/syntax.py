@@ -251,6 +251,8 @@ class _Token(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
+# `parse` runs the token parser only on text the fast path below rejects: it
+# finds and reports the syntax error.  Tests hold the fast path to it.
 class _Parser:
     def __init__(self, text: str):
         self._text = text
@@ -360,14 +362,82 @@ class _Parser:
         return EventDecl(TimeExpr(offset), source, target, self._line)
 
 
+# ---------------------------------------------------------------------------
+# Fast path: one regex match per production
+# ---------------------------------------------------------------------------
+
+# Each production starts at a token and ends with `_SKIP`, the whitespace and
+# comments before the next token, so the next match starts where it ended.
+# Neither a comment nor the skip may end early: the engine would otherwise
+# backtrack into a comment and read its text as tokens.
+_SKIP = r"(?:\s|//[^\n]*(?![^\n]))*(?!\s|//)"
+# A keyword or identifier ends where the scanner's identifier token ends.
+_END_OF_WORD = r"(?![A-Za-z0-9_])"
+_NAME = "(" + IDENTIFIER.pattern + ")" + _END_OF_WORD + _SKIP
+_STATE = "(?:@" + _SKIP + ")?" + _NAME
+
+_HEADER_RE = re.compile(
+    _SKIP + "stipula" + _END_OF_WORD + _SKIP + _NAME + r"\{" + _SKIP
+    + "init" + _END_OF_WORD + _SKIP + _STATE
+)
+_FUNCTION_RE = re.compile("@" + _SKIP + _NAME + _NAME + r"\{" + _SKIP)
+_EVENT_RE = re.compile(
+    "now" + _END_OF_WORD + _SKIP + r"(?:\+" + _SKIP + "([0-9]+)" + _SKIP + ")?"
+    + ">>" + _SKIP + _STATE + "=>" + _SKIP + _STATE
+)
+_TAIL_RE = re.compile(r"\}" + _SKIP + "=>" + _SKIP + _STATE)
+_END_RE = re.compile(r"\}" + _SKIP + r"\Z")
+
+
+def _match(text: str) -> Contract | None:
+    """The contract `_Parser` would build, before `validate`, or None where
+    a production fails to match or a number is too long for `int()`: the
+    token parser then decides, and reports the error."""
+    m = _HEADER_RE.match(text)
+    if m is None:
+        return None
+    name, init = m.groups()
+    pos = m.end()
+    functions = []
+    line, line_offset = 1, 0  # the line of offset line_offset
+    while (m := _FUNCTION_RE.match(text, pos)) is not None:
+        source, fname = m.groups()
+        pos = m.end()
+        body = []
+        while (m := _EVENT_RE.match(text, pos)) is not None:
+            start, pos = m.start(), m.end()
+            if text.find("\n", start, pos) < 0:  # the event must end its line
+                return None
+            delay, ev_source, ev_target = m.groups()
+            try:
+                offset = int(delay) if delay else 0
+            except ValueError:  # past the interpreter's int conversion limit
+                return None
+            line += text.count("\n", line_offset, start)
+            line_offset = start
+            body.append(EventDecl(TimeExpr(offset), ev_source, ev_target, line))
+        m = _TAIL_RE.match(text, pos)
+        if m is None:
+            return None
+        pos = m.end()
+        functions.append(FunctionDecl(source, fname, tuple(body), m.group(1)))
+    if _END_RE.match(text, pos) is None:
+        return None
+    return Contract(name, init, tuple(functions))
+
+
 def parse(text: str) -> Contract:
     """Parse contract source text into its AST.
 
     Line-codes are the physical source lines of the event declarations.
     Raises StipulaSyntaxError (with line/column), MultipleEventsPerLineError,
-    or DuplicateClauseError.
+    or DuplicateClauseError.  Valid text is parsed by `_match`; text it
+    rejects goes to `_Parser`, which finds and reports the error.
     """
-    return _Parser(text).contract()
+    contract = _match(text)
+    if contract is None:
+        return _Parser(text).contract()
+    return validate(contract)
 
 
 # ---------------------------------------------------------------------------

@@ -277,3 +277,32 @@ def test_readme_examples(tmp_path, capsys, monkeypatch):
             argv[out] = str(tmp_path / pathlib.Path(argv[out]).name)
         main(argv)
         assert capsys.readouterr().out == expected, argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parse", "contracts/pingpong.stipula"],
+        ["parse", "contracts/sample.stipula", "--json"],
+        ["classify", "contracts/sample.stipula"],
+        ["encode-minsky", "contracts/countdown.minsky", "--fragment", "d", "-o", "-"],
+    ],
+)
+def test_byte_order_mark_is_ignored(tmp_path, capsys, argv):
+    source = REPO / argv[1]
+    marked = tmp_path / source.name
+    marked.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+    assert main([argv[0], str(source), *argv[2:]]) == 0
+    plain = capsys.readouterr()
+    assert main([argv[0], str(marked), *argv[2:]]) == 0
+    assert capsys.readouterr() == plain
+
+
+def test_byte_order_mark_keeps_error_columns(tmp_path, capsys):
+    for name, encoding in (("plain", "utf-8"), ("marked", "utf-8-sig")):
+        path = tmp_path / f"{name}.stipula"
+        path.write_text("stipula { init Q }\n", encoding=encoding)
+        assert main(["parse", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: expected a contract name, found '{' (line 1, column 9)\n"
+        )

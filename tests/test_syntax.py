@@ -1,16 +1,23 @@
+import pathlib
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 import mustipula as mu
+from mustipula import syntax
 from mustipula.errors import (
     DuplicateClauseError,
     InvalidContractError,
     MultipleEventsPerLineError,
+    MuStipulaError,
     StipulaSyntaxError,
 )
 from mustipula.syntax import ClauseId, Contract, EventDecl, FunctionDecl, TimeExpr
 
-from helpers import CHAIN, EMPTY, PINGPONG, SAMPLE, pingpong, sample
+from helpers import CHAIN, EMPTY, PINGPONG, SAMPLE, inc_chain, machine_suite, pingpong, sample
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_parse_pingpong():
@@ -248,3 +255,143 @@ def test_renumber_idempotent(c):
 def test_render_injective_on_normalized_contracts(c1, c2):
     if c1 != c2:
         assert mu.render(c1) != mu.render(c2)
+
+
+# ---------------------------------------------------------------------------
+# The regex fast path (`syntax._match`) against the token parser
+# ---------------------------------------------------------------------------
+
+# Comments and whitespace wherever the grammar allows them, bare state names,
+# keywords used as names, and a newline between `@` and a name.
+COMMENTED = """// leading comment
+  stipula   Commented// the name
+{ init
+	@Start   // the initial state
+
+  @ Start open{// opens
+      now+0>>@ A=>B    // a bare target
+	  now + 12 >> A => @
+        B // a state name on the next line
+  }=>Open
+  @Open close { } // empty
+  => @ Start
+  @Open now { now >> @init => @stipula
+  } => @now
+}
+// trailing comment"""
+
+# Text the edits insert: tokens, comments holding tokens, keywords that could
+# glue onto a neighbouring name, characters the scanner rejects, and a number
+# too long for int().
+EDIT_SNIPPETS = [
+    " ", "\n", "\t", "\u00a0", "\ufeff", "//", "// ", "// @B\n", "/", "@", "@X",
+    "now", "now ", "now + 1 >> @A => @B\n", ">>", "=>", ">", "=", "{", "}",
+    "} => @R\n", "@Q f {", "+", "0", "42", "1" * 4301, "x", "_y9", "stipula",
+    "init", "%", "\u00e9",
+]
+
+
+def _edit(rng: random.Random, text: str) -> str:
+    """One random edit: insert, delete or replace a snippet, or duplicate,
+    swap or join lines."""
+    kind = rng.randrange(6)
+    if kind < 3:
+        i = rng.randrange(len(text) + 1)
+        j = min(len(text), i + rng.randrange(1, 8))
+        if kind == 0:
+            return text[:i] + rng.choice(EDIT_SNIPPETS) + text[i:]
+        if kind == 1:
+            return text[:i] + text[j:]
+        return text[:i] + rng.choice(EDIT_SNIPPETS) + text[j:]
+    lines = text.split("\n")
+    a, b = rng.randrange(len(lines)), rng.randrange(len(lines))
+    if kind == 3:
+        lines.insert(b, lines[a])
+    elif kind == 4:
+        lines[a], lines[b] = lines[b], lines[a]
+    elif a + 1 < len(lines):
+        lines[a : a + 2] = [lines[a] + lines[a + 1]]
+    return "\n".join(lines)
+
+
+def edit_corpus(size=2000, seed=20261018) -> list[str]:
+    """Seeded inputs, each 1-3 random edits of a valid contract."""
+    countdown = mu.parse_minsky((REPO / "contracts" / "countdown.minsky").read_text())
+    bases = [
+        (REPO / "contracts" / "pingpong.stipula").read_text(),
+        (REPO / "contracts" / "sample.stipula").read_text(),
+        mu.render(mu.encode(countdown, "d")),
+        COMMENTED,
+    ]
+    rng = random.Random(seed)
+    corpus = []
+    for _ in range(size):
+        text = rng.choice(bases)
+        for _ in range(rng.randint(1, 3)):
+            text = _edit(rng, text)
+        corpus.append(text)
+    return corpus
+
+
+def _outcome(parse, text):
+    """The AST, or the error's type, message, line and column."""
+    try:
+        return parse(text)
+    except MuStipulaError as err:
+        return type(err), str(err), getattr(err, "line", None), getattr(err, "column", None)
+
+
+def test_fast_path_agrees_with_token_parser():
+    accepted = 0
+    for text in edit_corpus():
+        expected = _outcome(lambda t: syntax._Parser(t).contract(), text)
+        assert _outcome(mu.parse, text) == expected, text
+        # Only the token parser's checks after the grammar (`validate`) may
+        # reject what the fast path matches.
+        grammatical = isinstance(expected, Contract) or expected[0] is DuplicateClauseError
+        assert (syntax._match(text) is not None) == grammatical, text
+        accepted += grammatical
+    assert 300 < accepted < 1700  # the corpus exercises both outcomes
+
+
+def test_commented_contract_parses():
+    c = mu.parse(COMMENTED)
+    assert [(f.source, f.name, f.target) for f in c.functions] == [
+        ("Start", "open", "Open"), ("Open", "close", "Start"), ("Open", "now", "now"),
+    ]
+    assert [(e.time.offset, e.source, e.target, e.line) for e in c.events()] == [
+        (0, "A", "B", 7), (12, "A", "B", 8), (0, "init", "stipula", 13),
+    ]
+
+
+def _token_parser_forbidden(text):
+    raise AssertionError(f"parse fell back to the token parser on:\n{text}")
+
+
+def readme_contracts() -> list[str]:
+    """The contracts in README.md's code blocks."""
+    blocks = (REPO / "README.md").read_text(encoding="utf-8").split("```")[1::2]
+    return [block for block in map(str.lstrip, blocks) if block.startswith("stipula ")]
+
+
+def test_fast_path_parses_every_valid_input(monkeypatch):
+    """A fast path that fell back on every input would pass every other
+    test: here the token parser may not run at all."""
+    monkeypatch.setattr(syntax, "_Parser", _token_parser_forbidden)
+    machines = [*machine_suite().values(), *(inc_chain(n) for n in (1, 12, 100))]
+    for machine in machines:
+        for fragment in ("i", "ta", "d"):
+            text = mu.render(mu.encode(machine, fragment))  # `renumber` parses too
+            assert mu.render(mu.parse(text)) == text
+    sources = [path.read_text() for path in sorted((REPO / "contracts").glob("*.stipula"))]
+    sources += readme_contracts()
+    assert len(sources) >= 4
+    for text in sources + [PINGPONG, SAMPLE, CHAIN, EMPTY, COMMENTED]:
+        mu.parse(text)
+
+
+@given(contracts())
+def test_fast_path_parses_rendered_contracts(c):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(syntax, "_Parser", _token_parser_forbidden)
+        assert mu.parse(mu.render(c)) == c
