@@ -2,8 +2,9 @@
 
 Exit codes: 0 success (including a definite UNREACHABLE verdict), 1 bounded
 search gave UNKNOWN, 2 parse error or invalid argument, 3 fragment
-precondition violated, 4 I/O failure.  A reader closing stdout early, as in
-`mustipula run FILE --steps 200000 | head -2`, is no failure: exit 0.
+precondition violated, 4 I/O failure, 130 interrupted (Ctrl-C).  A reader
+closing stdout early, as in `mustipula run FILE --steps 200000 | head -2`,
+is no failure: exit 0.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ EXIT_UNKNOWN = 1
 EXIT_PARSE = 2
 EXIT_FRAGMENT = 3
 EXIT_IO = 4
+EXIT_INTERRUPTED = 130
 
 
 def _read(path: str) -> str:
@@ -264,6 +266,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

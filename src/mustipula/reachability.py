@@ -13,9 +13,10 @@ Two routes:
   contract under the tick-plus rule form a well-structured transition
   system for the ordering `config_leq` (same state, same sigma, pending
   multiset inclusion), so the classic backward coverability fixpoint over
-  finite bases of upward-closed sets terminates and is exact.  State
-  reachability under the plain tick rule coincides with tick-plus
-  reachability on DI contracts, so verdicts transfer.
+  finite bases of upward-closed sets terminates and is exact.  It runs on
+  packed elements, psi a count vector in one int; only `pred_basis` builds
+  configurations.  State reachability under the plain tick rule coincides
+  with tick-plus reachability on DI contracts, so verdicts transfer.
 
 `unreachable_clauses` analyzes every clause: complete verdicts on DI
 contracts, forward-search verdicts (Reachable/Unknown) elsewhere.
@@ -168,130 +169,179 @@ def _require_di(contract: Contract):
 
 def pred_basis(contract: Contract, target: Configuration) -> frozenset[Configuration]:
     """A finite basis of the one-step predecessors of the upward cone of
-    `target` under the tick-plus relation, by case analysis on the shape of
-    the target.
-
-    Continuation targets gain predecessors from the Function rule (a clause
-    at the target's state producing exactly that continuation) and from the
-    Event-Match rule (a declared event at that state whose firing consumed
-    one pending occurrence).  Empty-continuation targets gain State-Change
-    predecessors driven by the contract's clauses - every reachable
-    continuation originates from one - with the committed body subtracted
-    from the pending multiset (saturating, so over-supplied events still
-    yield a minimal predecessor).  When the pending multiset is empty and
-    the state admits tick-plus, the target is its own minimal tick
-    predecessor, since decrementing any DI multiset empties it.
-    """
+    `target` under the tick-plus relation, by the engine's rule `_preds`:
+    Function and Event-Match predecessors of a continuation target;
+    State-Change ones of an empty-continuation target, the committed body
+    subtracted saturating, plus the target itself when its psi is empty and
+    its state admits tick-plus, since a tick empties any DI multiset.
+    Raises `ValueError` on a pending event not declared at delay 0."""
     _require_di(contract)
-    preds = set()
-    if target.sigma is not None:
-        body_events, body_target = target.sigma
-        for fn in contract.by_source.get(target.state, ()):
-            if fn.target == body_target and fn.lowered == body_events:
-                preds.add(Configuration(contract, target.state, None, target.psi, 0))
-        if not body_events:
-            for ev in contract.events_by_target.get(body_target, ()):
-                if ev.source == target.state:
-                    psi = target.psi.union([PendingEvent(0, ev.line, ev.source, ev.target)])
-                    preds.add(Configuration(contract, target.state, None, psi, 0))
-    else:
-        for fn in contract.by_target.get(target.state, ()):
-            body = Body(fn.lowered, fn.target)
-            preds.add(Configuration(contract, fn.source, body, target.psi.minus(fn.lowered), 0))
-        for ev in contract.events_by_target.get(target.state, ()):
-            body = Body(EMPTY_PSI, target.state)
-            preds.add(Configuration(contract, ev.source, body, target.psi, 0))
-        if not target.psi and target.state not in contract.init_ev:
-            preds.add(Configuration(contract, target.state, None, EMPTY_PSI, 0))
-    return frozenset(preds)
-
-
-def _validate_target(contract: Contract, target: Configuration):
-    if target.contract is not contract and target.contract != contract:
-        raise DifferentContractsError("target belongs to a different contract")
-    if target.sigma is not None:
-        raise ValueError("coverability targets must have an empty continuation")
-    declared = {PendingEvent(0, ev.line, ev.source, ev.target) for ev in contract.events()}
-    for inst in target.psi:
-        if inst not in declared:
-            raise ValueError(f"target pending event {inst} is not declared in the contract")
+    backward = _Backward(contract)
+    return frozenset(map(backward.config, backward.packed(backward._preds, target)))
 
 
 class _Backward:
-    """The backward coverability fixpoint for one DI contract.  Predecessor
-    bases and decided state verdicts are kept across targets, so the clause
-    targets of one contract share their work."""
+    """The backward coverability fixpoint for one DI contract on elements
+    (state, sigma id, vec).  In DI every pending event has delay 0, so psi is
+    a count vector over the sorted event shapes, packed into the int `vec` of
+    `width`-bit fields.  No count reaches the fields' top bits `guard`, so `a
+    <= b` is `((b | guard) - a) & guard == guard`; reaching them raises
+    `OverflowError`, and `packed` redoes the work at double width.  A sigma
+    id is interned on (target, packed body).  Predecessor bases and state
+    verdicts are kept across targets.  `stats` counts the elements expanded,
+    the largest basis, and the basis elements each candidate met in its
+    bucket, over all decisions."""
 
     def __init__(self, contract: Contract):
         self.contract = contract
-        self.preds: dict[Configuration, frozenset[Configuration]] = {}
+        self.shapes = sorted({(ev.line, ev.source, ev.target) for ev in contract.events()})
         # State q -> whether (q, --, --) is coverable.
         self.states: dict[StateName, bool] = {contract.init: True}
+        self.stats = dict.fromkeys(("expansions", "peak_basis", "subsumption_checks"), 0)
+        self._compile(16)
+
+    def _compile(self, width: int):
+        self.width, self.memo, self.sigma_ids, self.sigmas = width, {}, {}, []
+        units = self.units = {shape: 1 << i * width for i, shape in enumerate(self.shapes)}
+        self.guard = sum(units.values()) << width - 1
+        # Function: (source, sigma id); Event-Match: (state, body target) ->
+        # units; State-Change: state -> (source, sigma id, (mask, unit)s).
+        self.installs, self.fires, self.changes = set(), {}, {}
+        for fn in self.contract.functions:
+            lowered = [units[ev.line, ev.source, ev.target] for ev in fn.body]
+            sid = self._sigma(fn.target, sum(lowered))
+            self.installs.add((fn.source, sid))
+            lowered = tuple((u * ((1 << width) - 1), u) for u in lowered)
+            self.changes.setdefault(fn.target, []).append((fn.source, sid, lowered))
+        for ev in self.contract.events():
+            self.fires.setdefault((ev.source, ev.target), []).append(units[ev.line, ev.source, ev.target])
+            self.changes.setdefault(ev.target, []).append((ev.source, self._sigma(ev.target, 0), ()))
+
+    def _sigma(self, target: StateName, body: int) -> int:
+        sid = self.sigma_ids.setdefault((target, body), len(self.sigmas))
+        if sid == len(self.sigmas):
+            self.sigmas.append((target, body))
+        return sid
+
+    def _vec(self, psi: Iterable[PendingEvent]) -> int:
+        vec = 0
+        for ev in psi:
+            if ev.delay or ev[1:] not in self.units:
+                raise ValueError(f"target pending event {ev} is not declared in the contract")
+            if (vec := vec + self.units[ev[1:]]) & self.guard:
+                raise OverflowError
+        return vec
+
+    def packed(self, run, target: Configuration):
+        """`run` on the packed `target`, redone at double width on overflow."""
+        while True:
+            try:
+                sigma = target.sigma and self._sigma(target.sigma.target, self._vec(target.sigma.events))
+                return run((target.state, sigma, self._vec(target.psi)))
+            except OverflowError:
+                self._compile(2 * self.width)
+
+    def config(self, key: tuple) -> Configuration:
+        width, mask = self.width, (1 << self.width) - 1
+        pending = lambda vec: PendingSet(
+            PendingEvent(0, *shape) for i, shape in enumerate(self.shapes) for _ in range(vec >> i * width & mask)
+        )
+        state, sid, vec = key
+        sigma = None if sid is None else Body(pending(self.sigmas[sid][1]), self.sigmas[sid][0])
+        return Configuration(self.contract, state, sigma, pending(vec), 0)
 
     def decide(self, target: Configuration) -> bool:
-        """Whether some reachable configuration dominates `target`.
+        """Whether some reachable configuration dominates `target`."""
+        return self.packed(self._fixpoint, target)
 
-        Saturates a basis of the upward-closed set of configurations that
-        cover the target with predecessor bases, in breadth-first order,
-        and stops as soon as the set covers a configuration known to be
-        reachable: the initial one, or (q, --, --) for a state q decided
-        coverable.  An element (q, --, psi) whose state is known not
-        coverable stays in the basis for subsumption but is not expanded:
-        nothing in its upward cone is reachable, so nothing in its
-        predecessor closure is either."""
-        states = self.states
-        basis = CoverBasis()
-        frontier: deque[Configuration] = deque()
+    def _preds(self, key: tuple) -> tuple:
+        """`pred_basis` on a packed element: deduplicated, in contract order."""
+        state, sid, vec = key
+        if sid is not None:
+            out = [(state, None, vec)] if (state, sid) in self.installs else []
+            target, body = self.sigmas[sid]
+            for unit in () if body else self.fires.get((state, target), ()):
+                if (vec + unit) & self.guard:
+                    raise OverflowError
+                out.append((state, None, vec + unit))
+            return tuple(out)
+        out = []
+        for source, sigma, lowered in self.changes.get(state, ()):
+            pre = vec
+            for mask, unit in lowered:
+                pre -= min(pre & mask, unit)
+            out.append((source, sigma, pre))
+        if not vec and state not in self.contract.init_ev:
+            out.append(key)
+        return tuple(dict.fromkeys(out))
 
-        def admit(cfg: Configuration) -> bool:
-            """Add `cfg`; true when that settles the target as coverable."""
-            if not basis.add(cfg):
-                return False
-            known = states.get(cfg.state) if cfg.sigma is None else None
-            if known is False:
-                return False
-            if known and not cfg.psi:
-                return True
-            frontier.append(cfg)
-            return False
-
-        covered = admit(target)
-        while frontier and not covered:
-            cfg = frontier.popleft()
-            if basis.keeps(cfg):
-                covered = any(admit(p) for p in self._preds(cfg))
-        if covered:
-            if not target.psi:
-                states[target.state] = True
-        else:
-            # Every element lies in the target's predecessor closure, which
-            # misses the initial configuration.  An element (q, --, --)
-            # covers its whole bucket, so it is alone there.
-            for (state, sigma), bucket in basis._buckets.items():
-                if sigma is None and not bucket[0].psi:
+    def _fixpoint(self, target: tuple) -> bool:
+        """Saturate a basis of the upward-closed set of elements covering the
+        target with predecessor bases, breadth-first, until it covers (q, --,
+        --) for a state q known coverable.  An element (q, --, vec) of a state
+        known not coverable is kept but not expanded: its predecessor closure
+        is unreachable too.  A bucket is an antichain of vectors."""
+        states, memo, guard, stats = self.states, self.memo, self.guard, self.stats
+        basis: dict[tuple, list[int]] = {}  # (state, sigma id) -> vectors
+        frontier: deque[tuple] = deque()
+        size, peak, checks, batch, covered = 0, stats["peak_basis"], 0, (target,), False
+        while not covered:
+            for key in batch:
+                state, sid, vec = key
+                bucket = basis.get((state, sid))
+                if bucket is None:
+                    basis[state, sid] = [vec]
+                    size += 1
+                else:
+                    checks += len(bucket)
+                    if any(((vec | guard) - b) & guard == guard for b in bucket):
+                        continue
+                    kept = [b for b in bucket if ((b | guard) - vec) & guard != guard]
+                    kept.append(vec)
+                    basis[state, sid] = kept
+                    size += len(kept) - len(bucket)
+                if size > peak:
+                    peak = size
+                known = states.get(state) if sid is None else None
+                if known and not vec:
+                    covered = True
+                    break
+                if known is not False:
+                    frontier.append(key)
+            else:
+                while frontier:
+                    key = frontier.popleft()
+                    if key[2] in basis[key[0], key[1]]:
+                        break
+                else:
+                    break
+                if (batch := memo.get(key)) is None:
+                    stats["expansions"] += 1
+                    batch = memo[key] = self._preds(key)
+        stats["peak_basis"], stats["subsumption_checks"] = peak, stats["subsumption_checks"] + checks
+        if covered and not target[2]:
+            states[target[0]] = True
+        elif not covered:
+            # The closure misses the initial configuration; an element
+            # (q, --, --) covers its bucket, so it is alone there.
+            for (state, sid), bucket in basis.items():
+                if sid is None and not bucket[0]:
                     states[state] = False
         return covered
-
-    def _preds(self, cfg: Configuration) -> frozenset[Configuration]:
-        preds = self.preds.get(cfg)
-        if preds is None:
-            preds = self.preds[cfg] = pred_basis(self.contract, cfg)
-        return preds
 
 
 def decide_coverable(contract: Contract, target: Configuration) -> bool:
     """Decide, for a DI contract, whether some reachable configuration
-    dominates `target` under `config_leq`.
-
-    Backward fixpoint: saturate the basis of the upward-closed set with
-    predecessor bases until it covers the initial configuration or
-    stabilizes (guaranteed by the well-quasi-ordering).  The verdict holds
-    for both the tick and tick-plus semantics.  A contract that
-    `syntax.validate` rejects raises its error, as in `unreachable_clauses`.
-    """
+    dominates `target` under `config_leq`, by the backward fixpoint, which
+    terminates by the well-quasi-ordering.  The verdict holds for both the
+    tick and tick-plus semantics.  A contract that `syntax.validate` rejects
+    raises its error, as in `unreachable_clauses`."""
     validate(contract)
     _require_di(contract)
-    _validate_target(contract, target)
+    if target.contract is not contract and target.contract != contract:
+        raise DifferentContractsError("target belongs to a different contract")
+    if target.sigma is not None:
+        raise ValueError("coverability targets must have an empty continuation")
     return _Backward(contract).decide(target)
 
 

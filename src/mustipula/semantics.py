@@ -80,14 +80,6 @@ class PendingSet(tuple):
                 return False
         return True
 
-    def minus(self, other: Iterable[PendingEvent]) -> "PendingSet":
-        """Multiset difference, saturating at empty."""
-        events = list(self)
-        for ev in other:
-            if ev in events:
-                events.remove(ev)
-        return PendingSet(events)
-
 
 def _sorted(events: tuple) -> PendingSet:
     """Wrap a tuple that is already in canonical order, without sorting."""

@@ -105,16 +105,6 @@ class Contract:
         return _group(self.functions, lambda fn: fn.source)
 
     @functools.cached_property
-    def by_target(self) -> dict[StateName, tuple[FunctionDecl, ...]]:
-        """The functions entering each state, in declaration order."""
-        return _group(self.functions, lambda fn: fn.target)
-
-    @functools.cached_property
-    def events_by_target(self) -> dict[StateName, tuple[EventDecl, ...]]:
-        """The events entering each state, in declaration order."""
-        return _group(self.events(), lambda ev: ev.target)
-
-    @functools.cached_property
     def fragment_set(self):
         """The fragments the contract belongs to (`fragments.classify`)."""
         from . import fragments

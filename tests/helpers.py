@@ -20,7 +20,7 @@ from mustipula.semantics import (
     Trace,
     TraceStep,
 )
-from mustipula.syntax import Contract, EventDecl, FunctionDecl, TimeExpr
+from mustipula.syntax import ClauseId, Contract, EventDecl, FunctionDecl, TimeExpr
 
 PINGPONG = """stipula PingPong {
    init Q0
@@ -212,6 +212,102 @@ def reference_decide_coverable(contract: Contract, target: Configuration) -> boo
     basis, _ = _reference_fixpoint(contract, target)
     init = mu.initial_config(contract)
     return any(mu.config_leq(b, init) for b in basis)
+
+
+def reference_pred_basis(contract: Contract, target: Configuration) -> frozenset[Configuration]:
+    """`pred_basis` as a case analysis on configurations, before the engine
+    ran on packed elements."""
+    preds = set()
+    if target.sigma is not None:
+        body_events, body_target = target.sigma
+        for fn in contract.by_source.get(target.state, ()):
+            if fn.target == body_target and fn.lowered == body_events:
+                preds.add(Configuration(contract, target.state, None, target.psi, 0))
+        if not body_events:
+            for ev in contract.events():
+                if (ev.source, ev.target) == (target.state, body_target):
+                    psi = target.psi.union([PendingEvent(0, ev.line, ev.source, ev.target)])
+                    preds.add(Configuration(contract, target.state, None, psi, 0))
+    else:
+        for fn in contract.functions:
+            if fn.target == target.state:
+                # Multiset difference, saturating at empty.
+                psi = PendingSet((Counter(target.psi) - Counter(fn.lowered)).elements())
+                preds.add(Configuration(contract, fn.source, Body(fn.lowered, fn.target), psi, 0))
+        for ev in contract.events():
+            if ev.target == target.state:
+                body = Body(EMPTY_PSI, target.state)
+                preds.add(Configuration(contract, ev.source, body, target.psi, 0))
+        if not target.psi and target.state not in contract.init_ev:
+            preds.add(Configuration(contract, target.state, None, EMPTY_PSI, 0))
+    return frozenset(preds)
+
+
+class ReferenceBackward:
+    """The backward fixpoint before it ran on packed elements: a
+    `CoverBasis` of configurations, saturated with `reference_pred_basis`
+    in breadth-first order.  Predecessor bases and decided state verdicts
+    are kept across targets."""
+
+    def __init__(self, contract: Contract):
+        self.contract = contract
+        self.preds: dict[Configuration, frozenset[Configuration]] = {}
+        # State q -> whether (q, --, --) is coverable.
+        self.states: dict[str, bool] = {contract.init: True}
+
+    def decide(self, target: Configuration) -> bool:
+        """Whether some reachable configuration dominates `target`.  Stops
+        as soon as the basis covers the initial configuration or (q, --, --)
+        for a state q decided coverable; an element whose state is known
+        not coverable is kept for subsumption but not expanded."""
+        states = self.states
+        basis = mu.CoverBasis()
+        frontier: deque[Configuration] = deque()
+
+        def admit(cfg: Configuration) -> bool:
+            """Add `cfg`; true when that settles the target as coverable."""
+            if not basis.add(cfg):
+                return False
+            known = states.get(cfg.state) if cfg.sigma is None else None
+            if known is False:
+                return False
+            if known and not cfg.psi:
+                return True
+            frontier.append(cfg)
+            return False
+
+        covered = admit(target)
+        while frontier and not covered:
+            cfg = frontier.popleft()
+            if basis.keeps(cfg):
+                covered = any(admit(p) for p in self._preds(cfg))
+        if covered:
+            if not target.psi:
+                states[target.state] = True
+        else:
+            for cfg in basis.elements:
+                if cfg.sigma is None and not cfg.psi:
+                    states[cfg.state] = False
+        return covered
+
+    def _preds(self, cfg: Configuration) -> frozenset[Configuration]:
+        preds = self.preds.get(cfg)
+        if preds is None:
+            preds = self.preds[cfg] = reference_pred_basis(self.contract, cfg)
+        return preds
+
+
+def reference_unreachable_clauses(contract: Contract) -> dict:
+    """`unreachable_clauses` on a DI contract, decided by
+    `ReferenceBackward`: clause -> whether it is reachable."""
+    backward = ReferenceBackward(contract)
+    out = {}
+    for fn in contract.functions:
+        out[ClauseId.of_function(fn)] = backward.decide(mu.state_target(contract, fn.source))
+    for ev in contract.events():
+        source = backward.decide(mu.state_target(contract, ev.source))
+        out[ClauseId.of_event(ev)] = source and backward.decide(mu.event_target(contract, ev.line))
+    return out
 
 
 def all_clause_targets(contract: Contract) -> list[Configuration]:

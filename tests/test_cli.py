@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from mustipula import parse, run_random, trace_json
+from mustipula import cli, parse, run_random, trace_json
 from mustipula.cli import main
 
 from helpers import CHAIN, MACHINES, PINGPONG, SAMPLE
@@ -112,6 +112,21 @@ def test_run_into_a_closed_pipe_exits_zero():
     _, stderr = proc.communicate(timeout=60)
     assert all(line.endswith(b"\n") for line in lines)
     assert (proc.returncode, stderr) == (0, b"")
+
+
+def test_interrupt_exits_130_with_one_line(files, capsys, monkeypatch):
+    def interrupted(args):
+        print("partial output")
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_cmd_unreachable", interrupted)
+    try:
+        code = main(["unreachable", files["sample"]])
+    except KeyboardInterrupt:
+        # Escaping, it would stop the whole pytest run, not fail one test.
+        pytest.fail("KeyboardInterrupt escaped cli.main")
+    assert code == 130
+    assert capsys.readouterr().err == "interrupted\n"
 
 
 def test_run_text_mode_deterministic(files, capsys):

@@ -1,4 +1,9 @@
+import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -20,13 +25,17 @@ from helpers import (
     random_di_contract,
     reference_decide_coverable,
     reference_explore,
+    reference_pred_basis,
     reference_run_random,
     reference_successors,
+    reference_unreachable_clauses,
     sample,
     submultisets,
     wf_configs,
     wf_sigmas,
 )
+
+TESTS = pathlib.Path(__file__).resolve().parent
 
 CORPUS = di_corpus(60)
 LIMITS = mu.ExplorationLimits(50_000, 200, 6)
@@ -67,16 +76,16 @@ def _differential_corpus():
     return di_corpus() + heavy
 
 
-def _count_pred_basis(monkeypatch) -> list[Configuration]:
-    """Record the target of every pred_basis call the engine makes."""
+def _count_expansions(monkeypatch) -> list[tuple]:
+    """Record every packed element the backward engine expands."""
     calls = []
-    original = mu.reachability.pred_basis
+    original = mu.reachability._Backward._preds
 
-    def counted(contract, target):
-        calls.append(target)
-        return original(contract, target)
+    def counted(self, key):
+        calls.append(key)
+        return original(self, key)
 
-    monkeypatch.setattr(mu.reachability, "pred_basis", counted)
+    monkeypatch.setattr(mu.reachability._Backward, "_preds", counted)
     return calls
 
 
@@ -178,6 +187,63 @@ def test_pred_basis_tick_case_needs_empty_psi_and_no_initev():
     assert _cfg(c, "C", psi=PendingSet([inst])) not in got2
 
 
+def test_pred_basis_agrees_with_reference_case_analysis():
+    # Every continuation at every state, not only where a run can show it.
+    checked = 0
+    for c in CORPUS[:30]:
+        sigmas = [sig for _, sig in wf_sigmas(c)]
+        for state in sorted(c.states()):
+            for sigma in sigmas:
+                for psi in psis_upto(c, 2):
+                    cfg = _cfg(c, state, sigma, psi)
+                    assert mu.pred_basis(c, cfg) == reference_pred_basis(c, cfg), (mu.render(c), cfg)
+                    checked += 1
+    assert checked == 13_258
+
+
+def test_pred_basis_rejects_events_it_cannot_pack():
+    c = sample()
+    bogus = PendingEvent(0, 99, "Go", "End")
+    late = PendingEvent(1, 4, "Go", "End")
+    for inst in (bogus, late):
+        with pytest.raises(ValueError, match="is not declared in the contract"):
+            mu.pred_basis(c, _cfg(c, "Go", psi=PendingSet([inst])))
+        with pytest.raises(ValueError, match="is not declared in the contract"):
+            mu.pred_basis(c, _cfg(c, "Init", sigma=Body(PendingSet([inst]), "Go")))
+
+
+LOOP = """stipula Loop {
+  init F
+  @F loop {
+    now >> @E => @X
+  } => @F
+  @F go { } => @E
+}
+"""
+
+
+def test_counts_past_the_guard_bit_widen_the_fields():
+    # 16-bit fields hold counts up to 2**15 - 1; a larger count must widen
+    # the fields, never wrap into the next one.
+    c = sample()
+    inst = PendingEvent(0, 4, "Go", "End")
+    target = _cfg(c, "Go", psi=PendingSet([inst] * 2**16))
+    assert not mu.decide_coverable(c, target)
+    assert mu.pred_basis(c, target) == reference_pred_basis(c, target)
+    # `loop` schedules one `E ev_4 X` per call, so every count is reachable.
+    c = mu.parse(LOOP)
+    inst = PendingEvent(0, 4, "E", "X")
+    # Packing the target crosses the guard, and so does the copy that
+    # Event-Match adds.
+    for state, copies in (("E", 2**15 + 1), ("X", 2**15 - 1)):
+        engine = mu.reachability._Backward(c)
+        assert engine.decide(_cfg(c, state, psi=PendingSet([inst] * copies)))
+        assert engine.width == 32
+    fired = _cfg(c, "E", sigma=Body(EMPTY_PSI, "X"), psi=PendingSet([inst] * (2**15 - 1)))
+    assert mu.pred_basis(c, fired) == reference_pred_basis(c, fired)
+    assert _cfg(c, "E", psi=PendingSet([inst] * 2**15)) in mu.pred_basis(c, fired)
+
+
 def test_decide_coverable_sample():
     c = sample()
     assert not mu.decide_coverable(c, mu.state_target(c, "End"))
@@ -197,7 +263,7 @@ def test_decide_coverable_chain():
 
 
 def test_decide_coverable_initial_target_is_trivial(monkeypatch):
-    calls = _count_pred_basis(monkeypatch)
+    calls = _count_expansions(monkeypatch)
     for c in CORPUS[:20]:
         assert mu.decide_coverable(c, mu.state_target(c, c.init))
     assert calls == []
@@ -356,7 +422,7 @@ def test_unreachable_clauses_sample():
 
 
 def test_unreachable_clauses_expands_each_target_once(monkeypatch):
-    calls = _count_pred_basis(monkeypatch)
+    calls = _count_expansions(monkeypatch)
     total = 0
     for c in CORPUS:
         calls.clear()
@@ -372,19 +438,25 @@ def test_decide_coverable_skips_replaced_elements(monkeypatch):
     # (Run, --) bucket before l is popped, so l is never expanded.
     c = sample()
     inst = PendingEvent(0, 4, "Go", "End")
-    target = _cfg(c, "Go", psi=PendingSet([inst]))
-    l = _cfg(c, "Run", psi=PendingSet([inst]))
-    m = _cfg(c, "Run", sigma=Body(EMPTY_PSI, "Go"))
-    s = _cfg(c, "Run")
-    graph = {target: [m, l], m: [s], l: [], s: []}
+    cfgs = [
+        _cfg(c, "Go", psi=PendingSet([inst])),
+        _cfg(c, "Run", psi=PendingSet([inst])),
+        _cfg(c, "Run", sigma=Body(EMPTY_PSI, "Go")),
+        _cfg(c, "Run"),
+    ]
+    # The engine's own packing; sigma ids are interned in contract order,
+    # so every engine for `c` packs alike.
+    engine = mu.reachability._Backward(c)
+    target, l, m, s = (engine.packed(lambda key: key, cfg) for cfg in cfgs)
+    graph = {target: (m, l), m: (s,), l: (), s: ()}
     calls = []
 
-    def fake(contract, cfg):
-        calls.append(cfg)
-        return graph[cfg]
+    def fake(self, key):
+        calls.append(key)
+        return graph[key]
 
-    monkeypatch.setattr(mu.reachability, "pred_basis", fake)
-    assert not mu.decide_coverable(c, target)
+    monkeypatch.setattr(mu.reachability._Backward, "_preds", fake)
+    assert not mu.decide_coverable(c, cfgs[0])
     assert calls == [target, m, s]
 
 
@@ -540,6 +612,61 @@ def test_decide_coverable_agrees_with_reference_fixpoint():
             assert got == reference_decide_coverable(c, target), mu.render(c)
             verdicts.append(got)
     assert (len(verdicts), verdicts.count(False)) == (2016, 1498)
+
+
+def _tail_contracts():
+    """The roadmap's tail recipe at m = 24 and 36, seeds 0-11."""
+    for m in (24, 36):
+        for seed in range(12):
+            rng = random.Random(seed)
+            yield random_di_contract(rng, max_states=max(2, m // 4), max_clauses=m, max_events=m)
+
+
+def test_unreachable_clauses_agrees_with_reference_engine():
+    verdicts = []
+    for c in [*_differential_corpus(), *_tail_contracts()]:
+        got = {clause: v.status == "reachable" for clause, v in mu.unreachable_clauses(c).items()}
+        assert got == reference_unreachable_clauses(c), mu.render(c)
+        verdicts += got.values()
+    assert (len(verdicts), verdicts.count(False)) == (2432, 1903)
+
+
+STATS_SCRIPT = """
+import json, random, sys
+sys.path.insert(0, sys.argv[1])
+from helpers import random_di_contract
+from mustipula import reachability
+
+engines = []
+
+class Recording(reachability._Backward):
+    def __init__(self, contract):
+        super().__init__(contract)
+        engines.append(self)
+
+reachability._Backward = Recording
+rng = random.Random(7)
+out = []
+for _ in range(5):
+    contract = random_di_contract(rng, max_states=8, max_clauses=16, max_events=8)
+    verdicts = reachability.unreachable_clauses(contract)
+    out.append([sorted((k.text(), v.status) for k, v in verdicts.items()), engines[-1].stats])
+print(json.dumps(out))
+"""
+
+
+def test_backward_work_does_not_depend_on_the_hash_seed():
+    runs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(TESTS.parent / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-c", STATS_SCRIPT, str(TESTS)],
+            env=env, stdout=subprocess.PIPE, text=True, check=True, timeout=120,
+        )
+        runs.append(json.loads(proc.stdout))
+    assert runs[0] == runs[1]
+    assert all(stats["expansions"] > 0 for _, stats in runs[0])
+    assert sum(stats["subsumption_checks"] for _, stats in runs[0]) > 0
 
 
 def test_unreachable_clauses_agrees_with_per_clause_decisions():

@@ -47,8 +47,6 @@ def test_parse_sample():
     # The cached facts take no part in equality or hashing.
     assert c.by_source == {"Init": (f, g)} and c.events_by_line == {4: f.body[0]}
     assert c.init_ev == {"Go"} and c.delays == {0} and len(f.lowered) == 1
-    assert c.by_target == {"Run": (f,), "Go": (g,)}
-    assert c.events_by_target == {"End": f.body}
     assert c.fragment_set == mu.classify(c) and c.fragment_set.det_instantaneous
     fresh = sample()
     assert "by_source" in vars(c) and "by_source" not in vars(fresh)
