@@ -10,6 +10,7 @@ is no failure: exit 0.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -250,6 +251,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # A parse builds a large acyclic AST: pause the cyclic collector meanwhile.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.fn(args)
     except NotDIError as err:
@@ -269,6 +273,9 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -20,7 +20,8 @@ Three encoders compile a machine into a contract, one per fragment:
   stray tick (which erases the token) halts the simulation.
 
 Auxiliary states are prefixed with `_`, which is reserved: machine state
-names may not start with it.
+names may not start with it.  Event line-codes come from `syntax.laid_out`,
+so an encoding is never rendered and reparsed to learn them.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .errors import (
     MinskySyntaxError,
 )
 from .semantics import PendingEvent, PendingSet
-from .syntax import IDENTIFIER, Contract, EventDecl, FunctionDecl, StateName, TimeExpr, renumber
+from .syntax import IDENTIFIER, Contract, EventDecl, FunctionDecl, StateName, TimeExpr, laid_out, validate
 
 AUX_PREFIX = "_"
 
@@ -331,7 +332,7 @@ def encode_i(machine: MinskyMachine) -> Contract:
             )
     funcs.append(_fn(_aux("dec1"), "fdec1", [], _aux("zero1")))
     funcs.append(_fn(_aux("dec2"), "fdec2", [], _aux("zero2")))
-    contract = renumber(Contract(f"I_{machine.init}", _aux("start"), tuple(funcs)))
+    contract = validate(laid_out(Contract(f"I_{machine.init}", _aux("start"), tuple(funcs))))
     assert fragments.classify(contract).instantaneous
     return contract
 
@@ -414,7 +415,7 @@ def encode_ta(machine: MinskyMachine) -> Contract:
                 _aux(f"dec{i}"),
             )
         )
-    contract = renumber(Contract(f"TA_{machine.init}", machine.init, tuple(funcs)))
+    contract = validate(laid_out(Contract(f"TA_{machine.init}", machine.init, tuple(funcs))))
     assert fragments.classify(contract).time_ahead
     return contract
 
@@ -537,7 +538,7 @@ def encode_d(machine: MinskyMachine) -> Contract:
                     _aux(f"c{i}notick{mine}"),
                 )
             )
-    contract = renumber(Contract(f"D_{machine.init}", _aux("start"), tuple(funcs)))
+    contract = validate(laid_out(Contract(f"D_{machine.init}", _aux("start"), tuple(funcs))))
     assert fragments.classify(contract).determinate
     return contract
 

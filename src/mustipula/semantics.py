@@ -241,9 +241,9 @@ class StepTable:
     below K; the firable events are the entries below K whose source is the
     current state.  `start` is the start configuration's packed key.
 
-    Shapes are numbered in one pass, so K is fixed when the table is built;
-    continuations are interned as they are met, and each state's call moves
-    and tick permission are compiled on its first visit."""
+    Shapes are numbered in one pass, so K is fixed when the table is built.
+    Continuations are interned as they are met; a shape's label and fire
+    continuation, and a state's calls and tick permission, on first use."""
 
     def __init__(self, contract: Contract, start: Configuration, mode: Mode):
         self.contract = contract
@@ -260,8 +260,7 @@ class StepTable:
         self.shape_ids = {shape: i for i, shape in enumerate(self.shapes)}
         self.K = max(1, len(self.shapes))
         self.shape_source = [source for _, source, _ in self.shapes]
-        self.shape_label = [Label("event", line=line) for line, _, _ in self.shapes]
-        self.shape_fire = [self.sigma(Body(EMPTY_PSI, target)) for _, _, target in self.shapes]
+        self._fires: list = [None] * len(self.shapes)  # shape -> (label, continuation)
         # Firable events sort as their label texts do (`ev:10` before
         # `ev:9`), ties in shape order.
         self.shape_rank = [(f"ev:{line}", i) for i, (line, _, _) in enumerate(self.shapes)]
@@ -305,6 +304,11 @@ class StepTable:
         compiled = self._calls[state] = (calls, ticks)
         return compiled
 
+    def _fire(self, shape: int) -> tuple[Label, int]:
+        line, _, target = self.shapes[shape]
+        fire = self._fires[shape] = (Label("event", line=line), self.sigma(Body(EMPTY_PSI, target)))
+        return fire
+
     def moves(self, state: StateName, sigma: int | None, psi: tuple) -> list:
         """`moves` on packed parts, as (label, (state', sigma', psi'), ticks)
         in label-text order: the order `explore` expands them in."""
@@ -323,8 +327,9 @@ class StepTable:
                 firing.sort(key=self.shape_rank.__getitem__)
             out = []
             for e in firing:
+                label, fire = self._fires[e] or self._fire(e)
                 i = psi.index(e)
-                out.append((self.shape_label[e], (state, self.shape_fire[e], psi[:i] + psi[i + 1 :]), 0))
+                out.append((label, (state, fire, psi[:i] + psi[i + 1 :]), 0))
             return out
         calls, ticks = self._calls.get(state) or self._compile(state)
         out = [(label, (state, sid, psi), 0) for label, sid in calls]

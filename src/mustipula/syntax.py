@@ -8,7 +8,7 @@ declared by use; there is no separate state table.
 Line-codes: every event declaration is identified by the 1-based physical
 line it occupies in the source text, and at most one event may occupy a
 line.  Contracts built programmatically get fresh line-codes from
-:func:`renumber`, which is the renderer's layout followed by a reparse.
+:func:`laid_out`, the renderer's layout, or :func:`renumber`, a reparse.
 """
 
 from __future__ import annotations
@@ -453,6 +453,17 @@ def render(contract: Contract) -> str:
         out.append(f"  }} => @{fn.target}")
     out.append("}")
     return "\n".join(out) + "\n"
+
+
+def laid_out(contract: Contract) -> Contract:
+    """`renumber` without the text: each event's line-code is the line
+    `render` puts it on.  It does not `validate`."""
+    functions, line = [], 3  # line 3 opens the first function
+    for fn in contract.functions:
+        body = tuple(EventDecl(e.time, e.source, e.target, line + i) for i, e in enumerate(fn.body, 1))
+        functions.append(FunctionDecl(fn.source, fn.name, body, fn.target))
+        line += len(body) + 2 if body else 1  # `{`, the events and `}`; or `{ }`
+    return Contract(contract.name, contract.init, tuple(functions))
 
 
 def renumber(contract: Contract) -> Contract:

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import json
 import os
 import pathlib
@@ -127,6 +128,34 @@ def test_interrupt_exits_130_with_one_line(files, capsys, monkeypatch):
         pytest.fail("KeyboardInterrupt escaped cli.main")
     assert code == 130
     assert capsys.readouterr().err == "interrupted\n"
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_main_leaves_the_collector_as_it_found_it(files, capsys, monkeypatch, enabled):
+    # A command runs with the cyclic collector paused; on exit 0, 2 and 130
+    # it is back on only if it was on before.
+    bad = files["dir"] / "bad.stipula"
+    bad.write_text("stipula { init Q }\n")
+    seen = []
+
+    def interrupted(args):
+        seen.append(gc.isenabled())
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_cmd_unreachable", interrupted)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for argv, code in (
+            (["parse", files["sample"]], 0),
+            (["parse", str(bad)], 2),
+            (["unreachable", files["sample"]], 130),
+        ):
+            assert main(argv) == code
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False]
 
 
 def test_run_text_mode_deterministic(files, capsys):

@@ -16,6 +16,7 @@ from helpers import (
     HALTING,
     MACHINES,
     erase_lines,
+    inc_chain,
     machine_entry_edges,
     machine_suite,
 )
@@ -221,6 +222,17 @@ def test_encoders_classify_into_their_fragments():
     assert mu.classify(mu.encode_i(M1)).flags() == ("I",)
     assert mu.classify(mu.encode_ta(M1)).flags() == ("TA",)
     assert mu.classify(mu.encode_d(M1)).flags() == ("D",)
+
+
+@pytest.mark.parametrize("fragment", ["i", "ta", "d"])
+def test_encoders_number_lines_as_the_round_trip_does(fragment):
+    # The encoders number event lines from the renderer's layout, without
+    # rendering: the line-codes must be the ones a reparse would give.
+    machines = [*SUITE.values(), *(inc_chain(n) for n in (1, 12, 100, 400))]
+    for machine in machines:
+        c = mu.encode(machine, fragment)
+        assert mu.renumber(c) == c
+        assert mu.parse(mu.render(c)) == c
 
 
 def test_encode_dispatch():

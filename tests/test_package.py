@@ -15,8 +15,10 @@ print("\\n".join(sorted(set(sys.modules) - before)))
 
 def test_import_loads_only_the_standard_library():
     # The package, console script included, is stdlib-only at run time.
+    # `-I` ignores PYTHONDONTWRITEBYTECODE, so `-B` keeps the import from
+    # writing `__pycache__` into the source tree.
     out = subprocess.run(
-        [sys.executable, "-I", "-c", IMPORTED, str(SRC)],
+        [sys.executable, "-I", "-B", "-c", IMPORTED, str(SRC)],
         capture_output=True, text=True, check=True,
     ).stdout
     loaded = out.split()

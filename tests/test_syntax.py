@@ -226,7 +226,8 @@ def test_negative_time_offset_rejected():
 
 
 @st.composite
-def contracts(draw):
+def raw_contracts(draw):
+    """Contracts whose line-codes are all 0, as programs build them."""
     states = [f"S{i}" for i in range(draw(st.integers(1, 5)))]
     state = st.sampled_from(states)
     funcs = []
@@ -236,7 +237,11 @@ def contracts(draw):
             for _ in range(draw(st.integers(0, 2)))
         )
         funcs.append(FunctionDecl(draw(state), f"f{i}", body, draw(state)))
-    return mu.renumber(Contract("C", draw(state), tuple(funcs)))
+    return Contract("C", draw(state), tuple(funcs))
+
+
+def contracts():
+    return raw_contracts().map(mu.renumber)
 
 
 @given(contracts())
@@ -247,6 +252,14 @@ def test_roundtrip_random_contracts(c):
 @given(contracts())
 def test_renumber_idempotent(c):
     assert mu.renumber(c) == c
+
+
+@given(raw_contracts())
+def test_laid_out_numbers_lines_as_the_round_trip_does(raw):
+    c = syntax.laid_out(raw)
+    assert c == mu.renumber(raw)
+    assert mu.renumber(c) == c
+    assert mu.parse(mu.render(c)) == c
 
 
 @given(contracts(), contracts())
@@ -379,7 +392,7 @@ def test_fast_path_parses_every_valid_input(monkeypatch):
     machines = [*machine_suite().values(), *(inc_chain(n) for n in (1, 12, 100))]
     for machine in machines:
         for fragment in ("i", "ta", "d"):
-            text = mu.render(mu.encode(machine, fragment))  # `renumber` parses too
+            text = mu.render(mu.encode(machine, fragment))
             assert mu.render(mu.parse(text)) == text
     sources = [path.read_text() for path in sorted((REPO / "contracts").glob("*.stipula"))]
     sources += readme_contracts()
