@@ -18,12 +18,14 @@ is a multiset of pending events.  Four rules drive execution:
 
 No rule reads the clock; it is carried for trace readability only.
 
-`moves` is the transition function over the parts (state, sigma, psi);
-`successors` and `random_steps` build configurations from it.  They emit a
-configuration at every step and hash none, so interning the parts cannot
-pay there.  `StepTable` is the same function on interned ids, compiled for
-each forward search, which hashes every configuration it meets and builds
-configurations only for its output.
+`_enabled` and `_take` are the rules over the parts (state, sigma, psi):
+the first lists the enabled rule instances unbuilt, the second builds the
+move of one.  `moves` builds every option, for `successors`; `random_steps`
+draws one option and builds only that.  Both emit a configuration at every
+step and hash none, so interning the parts cannot pay there.  `StepTable`
+is the same function on interned ids, compiled for each forward search,
+which hashes every configuration it meets and builds configurations only
+for its output.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
-from .syntax import Contract, EventDecl, StateName
+from .syntax import Contract, EventDecl, FunctionDecl, StateName
 
 
 class PendingEvent(NamedTuple):
@@ -100,7 +102,7 @@ class Body(NamedTuple):
 Continuation = Body | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Configuration:
     """Runtime state of a contract: (state, sigma, psi) plus the clock.
 
@@ -115,7 +117,7 @@ class Configuration:
     clock: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Label:
     """Transition label.
 
@@ -196,6 +198,37 @@ def lower(body: Iterable[EventDecl]) -> PendingSet:
 Move = tuple[Label, StateName, Continuation, PendingSet, int]
 
 
+def _enabled(
+    contract: Contract, state: StateName, sigma: Continuation, psi: PendingSet, mode: Mode
+) -> list | tuple:
+    """The enabled rule instances from (state, sigma, psi), unbuilt, in a
+    fixed order: a non-empty sigma alone; else the firable events by
+    line-code, which preempt the rest; else the functions leaving `state` in
+    declaration order, then `TICK` if the mode allows a tick."""
+    if sigma is not None:
+        return (sigma,)
+    events = firable(psi, state)
+    if events:
+        return events
+    fns = contract.by_source.get(state, ())
+    if mode is Mode.TICK or state not in contract.init_ev:
+        return [*fns, TICK]
+    return fns
+
+
+def _take(state: StateName, psi: PendingSet, option) -> Move:
+    """The move of one option of `_enabled`."""
+    if option is TICK:
+        return (TICK, state, None, decrement(psi), 1)
+    if isinstance(option, FunctionDecl):
+        label, body = option.call
+        return (label, state, body, psi, 0)
+    if isinstance(option, PendingEvent):
+        return (Label("event", line=option.line), state, Body(EMPTY_PSI, option.target), psi.remove_one(option), 0)
+    body_events, target = option
+    return (STATECHANGE, target, None, psi.union(body_events), 0)
+
+
 def moves(
     contract: Contract,
     state: StateName,
@@ -203,28 +236,11 @@ def moves(
     psi: PendingSet,
     mode: Mode = Mode.TICK,
 ) -> list[Move]:
-    """All enabled one-step transitions from (state, sigma, psi), in a fixed
-    order: firable events by line-code, then functions in declaration order,
-    then the tick.  A non-empty sigma yields exactly one state-change."""
-    if sigma is not None:
-        body_events, target = sigma
-        return [(STATECHANGE, target, None, psi.union(body_events), 0)]
-
-    events = firable(psi, state)
-    if events:
-        # Firable events preempt function invocation and time progression.
-        return [
-            (Label("event", line=ev.line), state, Body(EMPTY_PSI, ev.target), psi.remove_one(ev), 0)
-            for ev in events
-        ]
-
-    out: list[Move] = []
-    for fn in contract.by_source.get(state, ()):
-        label, body = fn.call
-        out.append((label, state, body, psi, 0))
-    if mode is Mode.TICK or state not in contract.init_ev:
-        out.append((TICK, state, None, decrement(psi), 1))
-    return out
+    """All enabled one-step transitions from (state, sigma, psi), in the
+    order of `_enabled`: firable events by line-code, then functions in
+    declaration order, then the tick.  A non-empty sigma yields exactly one
+    state-change."""
+    return [_take(state, psi, option) for option in _enabled(contract, state, sigma, psi, mode)]
 
 
 class StepTable:
@@ -389,10 +405,10 @@ def random_steps(
     rng = random.Random(seed)
     state, sigma, psi, clock = contract.init, None, EMPTY_PSI, 0
     for _ in range(steps):
-        options = moves(contract, state, sigma, psi, mode)
+        options = _enabled(contract, state, sigma, psi, mode)
         if not options:
             return
-        label, state, sigma, psi, ticks = rng.choice(options)
+        label, state, sigma, psi, ticks = _take(state, psi, rng.choice(options))
         clock += ticks
         yield TraceStep(label, Configuration(contract, state, sigma, psi, clock))
 

@@ -10,6 +10,7 @@ import random
 from collections import Counter, deque
 
 import mustipula as mu
+from mustipula.reachability import _Backward
 from mustipula.semantics import (
     EMPTY_PSI,
     Body,
@@ -124,6 +125,23 @@ def di_corpus(size=CORPUS_SIZE, seed=CORPUS_SEED, **kwargs) -> list[Contract]:
     return [random_di_contract(rng, **kwargs) for _ in range(size)]
 
 
+def lively_contract(rng, n_functions=200, n_states=50) -> Contract:
+    """A random contract that keeps a walk busy: several functions per state
+    (function i leaves state i mod n_states), delays mixed 0-3, and event
+    sources only on the first quarter of the states, so tick-plus can still
+    tick outside them."""
+    states = [f"L{i}" for i in range(n_states)]
+    ev_sources = states[: max(1, n_states // 4)]
+    funcs = []
+    for i in range(n_functions):
+        body = tuple(
+            EventDecl(TimeExpr(rng.randint(0, 3)), rng.choice(ev_sources), rng.choice(states), 0)
+            for _ in range(rng.choice([0, 1, 1, 2]))
+        )
+        funcs.append(FunctionDecl(states[i % n_states], f"g{i}", body, rng.choice(states)))
+    return mu.renumber(Contract("Lively", rng.choice(states), tuple(funcs)))
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive configuration enumeration (well-formed shapes)
 # ---------------------------------------------------------------------------
@@ -182,7 +200,17 @@ def _reference_fixpoint(contract: Contract, target: Configuration):
     """The backward fixpoint as the engine first ran it: a flat basis list,
     rescanned for every popped target and every predecessor, saturated to
     the end.  Returns the final basis and every (target, predecessor) pair
-    pred_basis produced along the way."""
+    pred_basis produced along the way.
+
+    The predecessor bases come from one `_Backward` compiled for the whole
+    fixpoint and decoded as `pred_basis` decodes them; the first one is
+    checked against the public `pred_basis`."""
+    backward = _Backward(contract)
+
+    def preds(t: Configuration) -> frozenset[Configuration]:
+        return frozenset(map(backward.config, backward.packed(backward._preds, t)))
+
+    assert mu.pred_basis(contract, target) == preds(target)
     basis = [target]
     frontier = deque(basis)
     pairs = []
@@ -190,7 +218,7 @@ def _reference_fixpoint(contract: Contract, target: Configuration):
         t = frontier.popleft()
         if any(mu.config_leq(b, t) for b in basis if b != t):
             continue
-        for p in mu.pred_basis(contract, t):
+        for p in preds(t):
             pairs.append((t, p))
             if any(mu.config_leq(b, p) for b in basis):
                 continue

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 
@@ -5,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mustipula as mu
+from mustipula import semantics
 from mustipula.semantics import (
     EMPTY_PSI,
     Body,
     Configuration,
+    Label,
     Mode,
     PendingEvent,
     PendingSet,
@@ -19,7 +22,9 @@ from helpers import (
     GOLDEN_LABELS,
     chain,
     di_corpus,
+    lively_contract,
     pingpong,
+    reference_run_random,
     replay_labels,
     sample,
     wf_configs,
@@ -161,6 +166,64 @@ def test_pingpong_pending_multiset_stays_small():
     for seed in range(10):
         trace = mu.run_random(pingpong(), 200, seed)
         assert all(len(step.config.psi) <= 1 for step in trace.steps)
+
+
+@pytest.mark.parametrize("mode, steps", [(Mode.TICK, 800), (Mode.TICK_PLUS, 250)])
+def test_long_walks_agree_with_reference(mode, steps):
+    for seed in range(5):
+        contract = lively_contract(random.Random(seed))
+        got = mu.run_random(contract, steps, seed, mode)
+        assert len(got) == steps
+        assert mu.trace_json(got) == mu.trace_json(reference_run_random(contract, steps, seed, mode))
+
+
+def test_tickplus_walk_stops_where_nothing_is_enabled():
+    # After `f`, B is in InitEv, no function leaves it and its one pending
+    # event is not yet due: tick-plus enables nothing there.
+    contract = mu.parse("stipula S {\n init A\n @A f {\n now + 1 >> @B => @C\n } => @B\n}\n")
+    got = mu.run_random(contract, 50, 0, Mode.TICK_PLUS)
+    assert len(got) < 50 and got.labels()[-2:] == ["call:f", "statechange"]
+    assert got.steps[-1].config.state == "B"
+    assert mu.trace_json(got) == mu.trace_json(reference_run_random(contract, 50, 0, Mode.TICK_PLUS))
+
+
+@pytest.mark.parametrize(
+    "contract, steps, mode",
+    [
+        (pingpong(), 4000, Mode.TICK),
+        (lively_contract(random.Random(11)), 800, Mode.TICK),
+        (lively_contract(random.Random(11)), 250, Mode.TICK_PLUS),
+    ],
+    ids=["pingpong", "lively_tick", "lively_tickplus"],
+)
+def test_walk_builds_only_the_move_it_takes(monkeypatch, contract, steps, mode):
+    # The walk draws among the enabled options before it builds one, so it
+    # decrements psi once per tick taken and never for a tick left untaken.
+    calls = Counter()
+
+    def counting(psi):
+        calls["decrement"] += 1
+        return mu.decrement(psi)
+
+    monkeypatch.setattr(semantics, "decrement", counting)
+    trace = mu.run_random(contract, steps, 5, mode)
+    assert calls["decrement"] == trace.labels().count("tick") > 0
+
+
+def test_configurations_and_labels_are_slotted_value_objects():
+    psi = PendingSet([EV4])
+    cfg = Configuration(pingpong(), "Q1", None, psi, 3)
+    other = Configuration(sample(), "Q1", None, psi, 3)
+    assert cfg == other and hash(cfg) == hash(other)
+    later = dataclasses.replace(cfg, clock=4)
+    assert later.clock == 4 and later.contract is cfg.contract
+    assert later != cfg and dataclasses.replace(later, clock=3) == other
+    assert Label("event", line=4) == Label("event", line=4)
+    assert hash(Label("event", line=4)) == hash(Label("event", line=4))
+    assert Label("event", line=4) != Label("event", line=7)
+    for record in (cfg, Label("tick")):
+        with pytest.raises(TypeError):
+            vars(record)
 
 
 def test_is_stuck():
