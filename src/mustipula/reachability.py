@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import DifferentContractsError, NotDIError
@@ -189,15 +189,16 @@ class _Backward:
     `OverflowError`, and `packed` redoes the work at double width.  A sigma
     id is interned on (target, packed body).  Predecessor bases and state
     verdicts are kept across targets.  `stats` counts the elements expanded,
-    the largest basis, and the basis elements each candidate met in its
-    bucket, over all decisions."""
+    the largest basis, the basis elements each candidate met in its bucket,
+    and the elements kept but not expanded since their state is known not
+    coverable, over all decisions."""
 
     def __init__(self, contract: Contract):
         self.contract = contract
         self.shapes = sorted({(ev.line, ev.source, ev.target) for ev in contract.events()})
         # State q -> whether (q, --, --) is coverable.
         self.states: dict[StateName, bool] = {contract.init: True}
-        self.stats = dict.fromkeys(("expansions", "peak_basis", "subsumption_checks"), 0)
+        self.stats = dict.fromkeys(("expansions", "peak_basis", "subsumption_checks", "skipped"), 0)
         self._compile(16)
 
     def _compile(self, width: int):
@@ -284,7 +285,7 @@ class _Backward:
         states, memo, guard, stats = self.states, self.memo, self.guard, self.stats
         basis: dict[tuple, list[int]] = {}  # (state, sigma id) -> vectors
         frontier: deque[tuple] = deque()
-        size, peak, checks, batch, covered = 0, stats["peak_basis"], 0, (target,), False
+        size, peak, checks, skipped, batch, covered = 0, stats["peak_basis"], 0, 0, (target,), False
         while not covered:
             for key in batch:
                 state, sid, vec = key
@@ -308,6 +309,8 @@ class _Backward:
                     break
                 if known is not False:
                     frontier.append(key)
+                else:
+                    skipped += 1
             else:
                 while frontier:
                     key = frontier.popleft()
@@ -319,6 +322,7 @@ class _Backward:
                     stats["expansions"] += 1
                     batch = memo[key] = self._preds(key)
         stats["peak_basis"], stats["subsumption_checks"] = peak, stats["subsumption_checks"] + checks
+        stats["skipped"] += skipped
         if covered and not target[2]:
             states[target[0]] = True
         elif not covered:
@@ -380,9 +384,11 @@ class Exploration:
     along its path in the BFS tree `parents`.  `complete` means no cap
     pruned anything, so the nodes are the entire reachable quotient space.
 
-    `configs`, `config` and `path` decode on demand.  `pruned` counts, per
-    limit, the steps to unvisited configurations that the limit turned
-    away."""
+    `configs`, `config` and `path` decode on demand, each node at most once:
+    they share one configuration per node, and `path` keeps each node's
+    tree link `(parent, TraceStep)`, so paths share their prefixes.
+    `pruned` counts, per limit, the steps to unvisited configurations that
+    the limit turned away."""
 
     contract: Contract
     table: StepTable
@@ -393,20 +399,23 @@ class Exploration:
     complete: bool = False
     limit_hit: str | None = None
     pruned: dict[str, int] = field(default_factory=lambda: {"psi": 0, "clock": 0, "configs": 0})
+    # Node -> its configuration, and node -> (parent, TraceStep), as decoded.
+    _nodes: dict[int, Configuration] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _links: dict[int, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @functools.cached_property
     def configs(self) -> list[Configuration]:
         """Every node as a configuration, built on first access."""
-        contract, decode = self.contract, self.table.decode
-        return [Configuration(contract, *decode(key), clock) for key, clock in zip(self.packed, self.clocks)]
+        return list(map(self.config, range(len(self.packed))))
 
     def config(self, node: int) -> Configuration:
-        """Node `node` as a configuration: the cached one once `configs`
-        has been built."""
-        built = self.__dict__.get("configs")
-        if built is not None:
-            return built[node]
-        return Configuration(self.contract, *self.table.decode(self.packed[node]), self.clocks[node])
+        """Node `node` as a configuration, decoded on first use."""
+        cfg = self._nodes.get(node)
+        if cfg is None:
+            cfg = self._nodes[node] = Configuration(
+                self.contract, *self.table.decode(self.packed[node]), self.clocks[node]
+            )
+        return cfg
 
     def visited_states(self) -> frozenset[StateName]:
         """States reachable per the reachability definition: some visited
@@ -416,11 +425,15 @@ class Exploration:
     def path(self, node: int) -> tuple[TraceStep, ...]:
         """The steps of the tree path from the start configuration to
         `node`: a run of the rules, with true clocks."""
+        links, parents = self._links, self.parents
         steps = []
-        while self.parents[node] is not None:
-            parent, label = self.parents[node]
-            steps.append(TraceStep(label, self.config(node)))
-            node = parent
+        while parents[node] is not None:
+            link = links.get(node)
+            if link is None:
+                parent, label = parents[node]
+                link = links[node] = (parent, TraceStep(label, self.config(node)))
+            node, step = link
+            steps.append(step)
         steps.reverse()
         return tuple(steps)
 
@@ -521,18 +534,6 @@ def reachable_states(
 # ---------------------------------------------------------------------------
 
 
-def _edge_clause(exploration: Exploration, edge) -> ClauseId | None:
-    node, label, child = edge
-    if label.kind == "call":
-        packed = exploration.packed
-        target = exploration.table.sigma_parts[packed[child][1]][0]
-        return ClauseId("function", packed[node][0], label.name, target)
-    if label.kind == "event":
-        ev = exploration.contract.event_at_line(label.line)
-        return ClauseId.of_event(ev)
-    return None
-
-
 def unreachable_clauses(
     contract: Contract,
     limits: ExplorationLimits = ExplorationLimits(),
@@ -572,21 +573,33 @@ def unreachable_clauses(
         return verdicts
 
     exploration, _ = explore(contract, mode, limits, record_edges=True)
-    first_use: dict[ClauseId, tuple[int, Label, int]] = {}
+    packed, clocks, sigma_parts = exploration.packed, exploration.clocks, exploration.table.sigma_parts
+    # A call's clause is (source, name, target); an event's, its line-code.
+    first_use: dict[tuple | int, tuple[int, Label, int]] = {}
     for edge in exploration.edges:
-        clause = _edge_clause(exploration, edge)
-        if clause is not None and clause not in first_use:
-            first_use[clause] = edge
+        node, label, child = edge
+        if label.kind == "call":
+            key = (packed[node][0], label.name, sigma_parts[packed[child][1]][0])
+        elif label.kind == "event":
+            key = label.line
+        else:
+            continue
+        first_use.setdefault(key, edge)
     for fn in contract.functions:
         verdicts[ClauseId.of_function(fn)] = Verdict.unknown(exploration.limit_hit)
     for ev in contract.events():
         verdicts[ClauseId.of_event(ev)] = Verdict.unknown(exploration.limit_hit)
-    for clause, (node, label, child) in first_use.items():
+    for key, (node, label, child) in first_use.items():
+        if label.kind == "call":
+            clause = ClauseId("function", *key)
+        else:
+            clause = ClauseId.of_event(contract.event_at_line(key))
         # A call or event step keeps the clock; clocks[child] may be the
         # clock of another path.
-        last = replace(exploration.config(child), clock=exploration.clocks[node])
-        steps = exploration.path(node) + (TraceStep(label, last),)
-        verdicts[clause] = Verdict.reachable(Trace(steps))
+        cfg = exploration.config(child)
+        if cfg.clock != clocks[node]:
+            cfg = Configuration(contract, cfg.state, cfg.sigma, cfg.psi, clocks[node])
+        verdicts[clause] = Verdict.reachable(Trace(exploration.path(node) + (TraceStep(label, cfg),)))
     return verdicts
 
 

@@ -243,6 +243,21 @@ def moves(
     return [_take(state, psi, option) for option in _enabled(contract, state, sigma, psi, mode)]
 
 
+class _Events(dict):
+    """Packed pending event -> `PendingEvent`, decoded on first lookup.  It
+    holds the shapes, not the table, so it closes no reference cycle."""
+
+    __slots__ = ("K", "shapes")
+
+    def __init__(self, K: int, shapes: list[tuple]):
+        self.K, self.shapes = K, shapes
+
+    def __missing__(self, e: int) -> PendingEvent:
+        delay, shape = divmod(e, self.K)
+        ev = self[e] = PendingEvent(delay, *self.shapes[shape])
+        return ev
+
+
 class StepTable:
     """`moves` for one forward search, over interned ids, compiled from the
     contract, the search's start configuration and its mode.
@@ -268,13 +283,14 @@ class StepTable:
         self.sigmas: list[Body] = []  # id -> the continuation it stands for
         self.sigma_parts: list[tuple[StateName, tuple]] = []  # id -> (target, body)
         self._calls: dict = {}  # state -> (call moves, whether it may tick)
-        self._events: dict[int, PendingEvent] = {}  # decoded pending events
+        self._psis: dict[tuple, PendingSet] = {}  # packed psi -> decoded
         shapes = {(ev.line, ev.source, ev.target) for ev in contract.events()}
         own = start.psi if start.sigma is None else start.psi + start.sigma.events
         shapes.update(ev[1:] for ev in own)
         self.shapes = sorted(shapes)
         self.shape_ids = {shape: i for i, shape in enumerate(self.shapes)}
         self.K = max(1, len(self.shapes))
+        self._events = _Events(self.K, self.shapes)
         self.shape_source = [source for _, source, _ in self.shapes]
         self._fires: list = [None] * len(self.shapes)  # shape -> (label, continuation)
         # Firable events sort as their label texts do (`ev:10` before
@@ -297,16 +313,12 @@ class StepTable:
         return sid
 
     def pending(self, psi: tuple[int, ...]) -> PendingSet:
-        """Packed psi as a `PendingSet`, already in its order."""
-        events, K, shapes = self._events, self.K, self.shapes
-        out = []
-        for e in psi:
-            ev = events.get(e)
-            if ev is None:
-                delay, shape = divmod(e, K)
-                ev = events[e] = PendingEvent(delay, *shapes[shape])
-            out.append(ev)
-        return _sorted(tuple(out))
+        """Packed psi as a `PendingSet`, already in its order; one per
+        distinct packed psi."""
+        out = self._psis.get(psi)
+        if out is None:
+            out = self._psis[psi] = _sorted(tuple(map(self._events.__getitem__, psi)))
+        return out
 
     def decode(self, key: tuple) -> tuple[StateName, Continuation, PendingSet]:
         state, sigma, psi = key

@@ -414,6 +414,17 @@ def reference_explore(contract: Contract, mode, limits, start: Configuration | N
     return configs, parents, limit_hit is None, limit_hit
 
 
+def reference_path(configs, parents, node: int) -> tuple[TraceStep, ...]:
+    """The tree path to `node` over `reference_explore`'s configs and
+    parents, walked afresh on every call."""
+    steps = []
+    while parents[node] is not None:
+        parent, label = parents[node]
+        steps.append(TraceStep(label, configs[node]))
+        node = parent
+    return tuple(reversed(steps))
+
+
 def reference_run_random(contract: Contract, steps: int, seed: int, mode=mu.Mode.TICK) -> Trace:
     """`run_random` over `reference_successors`."""
     rng = random.Random(seed)

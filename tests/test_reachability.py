@@ -1,16 +1,22 @@
+import dataclasses
+import gc
+import hashlib
 import json
 import os
 import pathlib
 import random
 import subprocess
 import sys
+import weakref
 from collections import Counter
 
 import pytest
 
 import mustipula as mu
 from mustipula.errors import DifferentContractsError, InvalidContractError, NotDIError
-from mustipula.semantics import EMPTY_PSI, Body, Configuration, Mode, PendingEvent, PendingSet, moves
+from mustipula.semantics import (
+    EMPTY_PSI, Body, Configuration, Mode, PendingEvent, PendingSet, StepTable, TraceStep, moves,
+)
 from mustipula.syntax import ClauseId, Contract, EventDecl, FunctionDecl, TimeExpr
 
 from helpers import (
@@ -25,6 +31,7 @@ from helpers import (
     random_di_contract,
     reference_decide_coverable,
     reference_explore,
+    reference_path,
     reference_pred_basis,
     reference_run_random,
     reference_successors,
@@ -667,6 +674,7 @@ def test_backward_work_does_not_depend_on_the_hash_seed():
     assert runs[0] == runs[1]
     assert all(stats["expansions"] > 0 for _, stats in runs[0])
     assert sum(stats["subsumption_checks"] for _, stats in runs[0]) > 0
+    assert sum(stats["skipped"] for _, stats in runs[0]) > 0
 
 
 def test_unreachable_clauses_agrees_with_per_clause_decisions():
@@ -733,6 +741,14 @@ def _corner_contracts():
         FunctionDecl("B", "p", (_event(1, "B", "C", 30),), "B"),
         FunctionDecl("C", "big", (_event(1_000_000, "C", "A", 40),), "C"),
         FunctionDecl("C", "back", (), "B"),
+    ))
+    # `g` installs `-- => B` at clock 0, and the event on line 3, after a
+    # tick at C, installs it again at clock 1, so the event's witness ends
+    # off its target's clock.
+    yield Contract("Reclock", "A", (
+        FunctionDecl("A", "f", (_event(1, "A", "B", 3),), "C"),
+        FunctionDecl("C", "h", (), "A"),
+        FunctionDecl("A", "g", (), "B"),
     ))
 
 
@@ -820,3 +836,125 @@ def test_explore_keeps_the_ta_chain_search():
     exploration, node = mu.explore(mu.encode(inc_chain(12), "ta"), target_state="QF")
     assert len(exploration.packed) == 17_327 and node == 17_326
     assert max(len(psi) for _, _, psi in exploration.packed) == 32
+
+
+def _fallback_witnesses(contract, exploration, configs, parents):
+    """The fallback's witnesses rebuilt from reference configurations: per
+    clause, the tree path to the first edge that fires it, then that edge,
+    which keeps its source's clock.  Also counts the witnesses whose last
+    configuration was first reached with another clock."""
+    want, reclocked = {}, 0
+    for node, label, child in exploration.edges:
+        if label.kind == "call":
+            clause = ClauseId("function", configs[node].state, label.name, configs[child].sigma.target)
+        elif label.kind == "event":
+            clause = ClauseId.of_event(contract.event_at_line(label.line))
+        else:
+            continue
+        if clause not in want:
+            last = dataclasses.replace(configs[child], clock=configs[node].clock)
+            want[clause] = reference_path(configs, parents, node) + (TraceStep(label, last),)
+            reclocked += last.clock != configs[child].clock
+    return want, reclocked
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_paths_and_fallback_witnesses_agree_with_reference(mode):
+    # `path` shares decoded nodes and tree links across calls, so neither
+    # the order of the calls nor a built `configs` may change a path.
+    rng = random.Random(14)
+    stats = Counter()
+    for contract in _forward_corpus():
+        for limits in (mu.ExplorationLimits(400, 40, 12), mu.ExplorationLimits(400, 2, 4)):
+            configs, parents, _, _ = reference_explore(contract, mode, limits)
+            want = [reference_path(configs, parents, node) for node in range(len(configs))]
+            for configs_first in (False, True):
+                exploration, _ = mu.explore(contract, mode, limits, record_edges=True)
+                if configs_first:
+                    assert exploration.configs == configs
+                order = list(range(len(configs)))
+                rng.shuffle(order)
+                for node in order:
+                    path = exploration.path(node)
+                    assert path == want[node]
+                    assert not path or path[-1].config is exploration.config(node)
+                for node, cfg in enumerate(exploration.configs):
+                    assert cfg is exploration.config(node)
+            if contract.name == "Clash" or contract.fragment_set.det_instantaneous:
+                continue  # rejected by `validate`, or decided backward
+            witnesses, reclocked = _fallback_witnesses(contract, exploration, configs, parents)
+            got = {
+                clause: verdict.witness.steps
+                for clause, verdict in mu.unreachable_clauses(contract, limits, mode).items()
+                if verdict.witness is not None
+            }
+            assert got == witnesses, contract.name
+            stats["witnesses"] += len(got)
+            stats["reclocked"] += reclocked
+    assert stats["witnesses"] > 500 and stats["reclocked"] > 0
+
+
+# sha256 digests, taken before witnesses shared decoded nodes and tree links,
+# of `trace_json` of every `bounded_reach` witness and of the fallback's
+# `verdict_payload`s, on the i/ta/d encodings of the suite machines and of
+# inc_chain(1..6), in both modes.
+WITNESS_DIGESTS = json.loads((TESTS / "witness_digests.json").read_text())
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_witnesses_and_fallback_verdicts_match_the_pinned_digests():
+    machines = {**machine_suite(), **{f"inc_chain{n}": inc_chain(n) for n in range(1, 7)}}
+    reach, fallback = {}, {}
+    for name, machine in machines.items():
+        for fragment, limits in ENCODING_LIMITS.items():
+            contract = mu.encode(machine, fragment)
+            for mode in Mode:
+                key = f"{name}/{fragment}/{mode.value}"
+                verdict = mu.bounded_reach(contract, machine.final, limits, mode)
+                if verdict.status == "reachable":
+                    reach[key] = _sha256(mu.trace_json(verdict.witness))
+                verdicts = mu.unreachable_clauses(contract, limits, mode)
+                payload = [mu.reachability.verdict_payload(c, v) for c, v in verdicts.items()]
+                fallback[key] = _sha256(json.dumps(payload, separators=(",", ":")))
+    assert reach == WITNESS_DIGESTS["bounded_reach"]
+    assert fallback == WITNESS_DIGESTS["unreachable_clauses"]
+
+
+def test_fallback_witnesses_decode_each_node_once(monkeypatch):
+    decoded = []
+    original = StepTable.decode
+
+    def counted(self, key):
+        decoded.append(key)
+        return original(self, key)
+
+    monkeypatch.setattr(StepTable, "decode", counted)
+    steps = decodes = 0
+    for n in (3, 6):
+        for fragment in ("i", "ta", "d"):
+            decoded.clear()
+            verdicts = mu.unreachable_clauses(mu.encode(inc_chain(n), fragment))
+            steps += sum(len(v.witness) for v in verdicts.values() if v.witness is not None)
+            assert len(decoded) == len(set(decoded))
+            decodes += len(decoded)
+    # Decoding once per witness step took 8,169 decodes.
+    assert (steps, decodes) == (8169, 1074)
+
+
+def test_a_decoded_search_is_freed_without_the_collector():
+    # The CLI pauses the cyclic collector, so the decode caches must not
+    # close a reference cycle through the exploration or its table.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        exploration, node = mu.explore(mu.encode(inc_chain(3), "d"), target_state="QF")
+        exploration.path(node)
+        exploration.configs
+        table, exploration = weakref.ref(exploration.table), weakref.ref(exploration)
+        assert (table(), exploration()) == (None, None)
+    finally:
+        if enabled:
+            gc.enable()
