@@ -20,15 +20,17 @@ Three encoders compile a machine into a contract, one per fragment:
   stray tick (which erases the token) halts the simulation.
 
 Auxiliary states are prefixed with `_`, which is reserved: machine state
-names may not start with it.  Event line-codes come from `syntax.laid_out`,
-so an encoding is never rendered and reparsed to learn them.
+names may not start with it.  Each encoder lists its functions as plain
+specs and `syntax.lay_out` builds every declaration once, with the line-code
+`render` gives it, so an encoding is never rendered and reparsed to learn
+them.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from . import fragments
 from .errors import (
@@ -37,7 +39,7 @@ from .errors import (
     MinskySyntaxError,
 )
 from .semantics import PendingEvent, PendingSet
-from .syntax import IDENTIFIER, Contract, EventDecl, FunctionDecl, StateName, TimeExpr, laid_out, validate
+from .syntax import IDENTIFIER, Contract, StateName, lay_out, validate
 
 AUX_PREFIX = "_"
 
@@ -254,14 +256,6 @@ def denote_registers(fragment: str, v1: int, v2: int, anchor: str) -> PendingSet
 # ---------------------------------------------------------------------------
 
 
-def _ev(offset: int, source: StateName, target: StateName) -> EventDecl:
-    return EventDecl(TimeExpr(offset), source, target, 0)
-
-
-def _fn(source, name, body: Iterable[EventDecl], target) -> FunctionDecl:
-    return FunctionDecl(source, name, tuple(body), target)
-
-
 def _instructions(machine: MinskyMachine):
     return sorted(machine.program.items())
 
@@ -272,6 +266,12 @@ def _check_encodable(machine: MinskyMachine) -> None:
     for state in sorted(machine.states):
         if not IDENTIFIER.fullmatch(state):
             raise MinskySyntaxError(f"state name {state!r} is not an identifier")
+
+
+# Each encoder lists its functions as `syntax.lay_out` specs, in the order of
+# the rendered clause `@source name { events } => @target`: a function is
+# `(source, name, events, target)` and an event `now + offset >> @source =>
+# @target` is `(offset, source, target)`.
 
 
 def encode_i(machine: MinskyMachine) -> Contract:
@@ -288,51 +288,29 @@ def encode_i(machine: MinskyMachine) -> Contract:
     _check_encodable(machine)
     a = lambda q: _aux(f"a_{q}")
     b = lambda q: _aux(f"b_{q}")
-    funcs = [
-        _fn(_aux("start"), "fstart", [_ev(0, a(machine.init), b(machine.init))], machine.init)
-    ]
+    funcs = [(_aux("start"), "fstart", [(0, a(machine.init), b(machine.init))], machine.init)]
     for state, instr in _instructions(machine):
+        r = instr.register
         if isinstance(instr, Inc):
-            funcs.append(
-                _fn(
-                    state,
-                    f"finc_{state}",
-                    [
-                        _ev(0, _aux(f"dec{instr.register}"), _aux(f"ackdec{instr.register}")),
-                        _ev(0, b(state), instr.next),
-                        _ev(0, a(instr.next), b(instr.next)),
-                    ],
-                    a(state),
-                )
-            )
-        else:
-            funcs.append(
-                _fn(
-                    state,
-                    f"fdec_{state}",
-                    [
-                        _ev(0, _aux(f"ackdec{instr.register}"), a(state)),
-                        _ev(0, b(state), instr.on_pos),
-                        _ev(0, a(instr.on_pos), b(instr.on_pos)),
-                    ],
-                    _aux(f"dec{instr.register}"),
-                )
-            )
-            funcs.append(
-                _fn(
-                    state,
-                    f"fzero_{state}",
-                    [
-                        _ev(0, _aux(f"zero{instr.register}"), a(state)),
-                        _ev(0, b(state), instr.on_zero),
-                        _ev(0, a(instr.on_zero), b(instr.on_zero)),
-                    ],
-                    _aux(f"dec{instr.register}"),
-                )
-            )
-    funcs.append(_fn(_aux("dec1"), "fdec1", [], _aux("zero1")))
-    funcs.append(_fn(_aux("dec2"), "fdec2", [], _aux("zero2")))
-    contract = validate(laid_out(Contract(f"I_{machine.init}", _aux("start"), tuple(funcs))))
+            funcs.append((state, f"finc_{state}", [
+                (0, _aux(f"dec{r}"), _aux(f"ackdec{r}")),
+                (0, b(state), instr.next),
+                (0, a(instr.next), b(instr.next)),
+            ], a(state)))
+            continue
+        funcs.append((state, f"fdec_{state}", [
+            (0, _aux(f"ackdec{r}"), a(state)),
+            (0, b(state), instr.on_pos),
+            (0, a(instr.on_pos), b(instr.on_pos)),
+        ], _aux(f"dec{r}")))
+        funcs.append((state, f"fzero_{state}", [
+            (0, _aux(f"zero{r}"), a(state)),
+            (0, b(state), instr.on_zero),
+            (0, a(instr.on_zero), b(instr.on_zero)),
+        ], _aux(f"dec{r}")))
+    funcs.append((_aux("dec1"), "fdec1", [], _aux("zero1")))
+    funcs.append((_aux("dec2"), "fdec2", [], _aux("zero2")))
+    contract = validate(lay_out(f"I_{machine.init}", _aux("start"), funcs))
     assert fragments.classify(contract).instantaneous
     return contract
 
@@ -348,74 +326,43 @@ def encode_ta(machine: MinskyMachine) -> Contract:
     management or machine state across the wrong tick.
     """
     _check_encodable(machine)
+    end, wait = _aux("end"), _aux("wait")
     funcs = []
     for state, instr in _instructions(machine):
+        r = instr.register
         if isinstance(instr, Inc):
-            funcs.append(
-                _fn(
-                    state,
-                    f"finc_{state}",
-                    [
-                        _ev(1, _aux(f"dec{instr.register}"), _aux(f"ackdec{instr.register}")),
-                        _ev(1, instr.next, _aux("end")),
-                    ],
-                    instr.next,
-                )
-            )
+            funcs.append((state, f"finc_{state}", [
+                (1, _aux(f"dec{r}"), _aux(f"ackdec{r}")),
+                (1, instr.next, end),
+            ], instr.next))
             continue
-        r, pos, zero = instr.register, instr.on_pos, instr.on_zero
-        funcs.append(
-            _fn(
-                state,
-                f"fdec_{state}",
-                [
-                    _ev(1, _aux(f"ackdec{r}"), _aux(f"next{r}_{pos}")),
-                    _ev(1, _aux("wait"), _aux("dec1")),
-                    _ev(2, _aux("dec1"), _aux("end")),
-                    _ev(2, _aux("dec2"), _aux("end")),
-                    _ev(2, _aux(f"next{r}_{pos}"), _aux("end")),
-                    _ev(2, _aux("ackdec1"), _aux("end")),
-                    _ev(2, _aux("ackdec2"), _aux("end")),
-                    _ev(3, pos, _aux("end")),
-                ],
-                _aux("wait"),
-            )
-        )
-        funcs.append(
-            _fn(
-                state,
-                f"fzero_{state}",
-                [
-                    _ev(1, _aux(f"ackdec{r}"), _aux("end")),
-                    _ev(2, _aux("next"), zero),
-                    _ev(1, _aux("wait"), _aux("dec1")),
-                    _ev(3, zero, _aux("end")),
-                ],
-                _aux("wait"),
-            )
-        )
-    funcs.append(_fn(_aux("wait"), "fwait", [], _aux("end")))
-    funcs.append(_fn(_aux("dec1"), "fdec1", [], _aux("dec2")))
-    funcs.append(_fn(_aux("dec2"), "fdec2", [], _aux("next")))
+        pos, zero = instr.on_pos, instr.on_zero
+        funcs.append((state, f"fdec_{state}", [
+            (1, _aux(f"ackdec{r}"), _aux(f"next{r}_{pos}")),
+            (1, wait, _aux("dec1")),
+            (2, _aux("dec1"), end),
+            (2, _aux("dec2"), end),
+            (2, _aux(f"next{r}_{pos}"), end),
+            (2, _aux("ackdec1"), end),
+            (2, _aux("ackdec2"), end),
+            (3, pos, end),
+        ], wait))
+        funcs.append((state, f"fzero_{state}", [
+            (1, _aux(f"ackdec{r}"), end),
+            (2, _aux("next"), zero),
+            (1, wait, _aux("dec1")),
+            (3, zero, end),
+        ], wait))
+    funcs.append((wait, "fwait", [], end))
+    funcs.append((_aux("dec1"), "fdec1", [], _aux("dec2")))
+    funcs.append((_aux("dec2"), "fdec2", [], _aux("next")))
     for i in (1, 2):
-        funcs.append(
-            _fn(
-                _aux(f"ackdec{i}"),
-                f"fackdec{i}",
-                [_ev(2, _aux(f"dec{i}"), _aux(f"ackdec{i}"))],
-                _aux(f"dec{i}"),
-            )
-        )
+        dec_i, ackdec_i = _aux(f"dec{i}"), _aux(f"ackdec{i}")
+        funcs.append((ackdec_i, f"fackdec{i}", [(2, dec_i, ackdec_i)], dec_i))
     for state, i in itertools.product(sorted(machine.states), (1, 2)):
-        funcs.append(
-            _fn(
-                _aux(f"next{i}_{state}"),
-                f"fnext{i}_{state}",
-                [_ev(1, _aux("next"), state)],
-                _aux(f"dec{i}"),
-            )
-        )
-    contract = validate(laid_out(Contract(f"TA_{machine.init}", machine.init, tuple(funcs))))
+        body = [(1, _aux("next"), state)]
+        funcs.append((_aux(f"next{i}_{state}"), f"fnext{i}_{state}", body, _aux(f"dec{i}")))
+    contract = validate(lay_out(f"TA_{machine.init}", machine.init, funcs))
     assert fragments.classify(contract).time_ahead
     return contract
 
@@ -435,110 +382,77 @@ def encode_d(machine: MinskyMachine) -> Contract:
     cont, dec1, dec2 = _aux("cont"), _aux("dec1"), _aux("dec2")
     ackdec1, ackdec2 = _aux("ackdec1"), _aux("ackdec2")
     notick = {"A": _aux("notickA"), "B": _aux("notickB")}
-    funcs = [_fn(_aux("start"), "fstart", [_ev(0, notick["A"], cont)], machine.init)]
+    funcs = [(_aux("start"), "fstart", [(0, notick["A"], cont)], machine.init)]
     for state, instr in _instructions(machine):
         if isinstance(instr, Inc):
-            token = _ev(1, dec1, ackdec1) if instr.register == 1 else _ev(3, dec2, ackdec2)
+            token = (1, dec1, ackdec1) if instr.register == 1 else (3, dec2, ackdec2)
             for mine, sibling in (("A", "B"), ("B", "A")):
-                funcs.append(
-                    _fn(
-                        state,
-                        f"f{mine}inc_{state}",
-                        [token, _ev(0, cont, instr.next), _ev(0, notick[sibling], cont)],
-                        notick[mine],
-                    )
-                )
+                body = [token, (0, cont, instr.next), (0, notick[sibling], cont)]
+                funcs.append((state, f"f{mine}inc_{state}", body, notick[mine]))
             continue
         zero, pos = instr.on_zero, instr.on_pos
         if instr.register == 1:
             dec_body = [
-                _ev(1, ackdec1, _aux(f"start1_{pos}")),
-                _ev(1, _aux("s1notick"), cont),
-                _ev(0, cont, dec1),
+                (1, ackdec1, _aux(f"start1_{pos}")),
+                (1, _aux("s1notick"), cont),
+                (0, cont, dec1),
             ]
             zero_body_head = [
-                _ev(0, cont, dec1),
-                _ev(2, dec1, dec2),
-                _ev(3, ackdec2, _aux("copy2")),
-                _ev(3, _aux("c2notickA"), cont),
-                _ev(4, dec2, zero),
+                (0, cont, dec1),
+                (2, dec1, dec2),
+                (3, ackdec2, _aux("copy2")),
+                (3, _aux("c2notickA"), cont),
+                (4, dec2, zero),
             ]
         else:
             dec_body = [
-                _ev(0, cont, dec1),
-                _ev(1, ackdec1, _aux("copy1")),
-                _ev(1, _aux("c1notickA"), cont),
-                _ev(2, dec1, dec2),
-                _ev(3, ackdec2, _aux(f"start2_{pos}")),
-                _ev(3, _aux("s2notick"), cont),
+                (0, cont, dec1),
+                (1, ackdec1, _aux("copy1")),
+                (1, _aux("c1notickA"), cont),
+                (2, dec1, dec2),
+                (3, ackdec2, _aux(f"start2_{pos}")),
+                (3, _aux("s2notick"), cont),
             ]
             zero_body_head = [
-                _ev(0, cont, dec1),
-                _ev(1, ackdec1, _aux("copy1")),
-                _ev(1, _aux("c1notickA"), cont),
-                _ev(2, dec1, dec2),
-                _ev(4, dec2, zero),
+                (0, cont, dec1),
+                (1, ackdec1, _aux("copy1")),
+                (1, _aux("c1notickA"), cont),
+                (2, dec1, dec2),
+                (4, dec2, zero),
             ]
         for mine, sibling in (("A", "B"), ("B", "A")):
-            funcs.append(_fn(state, f"f{mine}dec_{state}", dec_body, notick[mine]))
-            funcs.append(
-                _fn(
-                    state,
-                    f"f{mine}zero_{state}",
-                    zero_body_head + [_ev(5, notick[sibling], cont)],
-                    notick[mine],
-                )
-            )
+            funcs.append((state, f"f{mine}dec_{state}", dec_body, notick[mine]))
+            zero_body = zero_body_head + [(5, notick[sibling], cont)]
+            funcs.append((state, f"f{mine}zero_{state}", zero_body, notick[mine]))
     for state in sorted(machine.states):
-        funcs.append(
-            _fn(
-                _aux(f"start1_{state}"),
-                f"fstart1_{state}",
-                [
-                    _ev(0, ackdec1, _aux("copy1")),
-                    _ev(0, cont, dec1),
-                    _ev(0, _aux("c1notickA"), cont),
-                    _ev(1, dec1, dec2),
-                    _ev(2, ackdec2, _aux("copy2")),
-                    _ev(2, _aux("c2notickA"), cont),
-                    _ev(3, dec2, state),
-                    _ev(4, notick["A"], cont),
-                ],
-                _aux("s1notick"),
-            )
-        )
-        funcs.append(
-            _fn(
-                _aux(f"start2_{state}"),
-                f"fstart2_{state}",
-                [
-                    _ev(0, ackdec2, _aux("copy2")),
-                    _ev(0, cont, dec2),
-                    _ev(0, _aux("c2notickA"), cont),
-                    _ev(1, dec2, state),
-                    _ev(2, notick["A"], cont),
-                ],
-                _aux("s2notick"),
-            )
-        )
+        funcs.append((_aux(f"start1_{state}"), f"fstart1_{state}", [
+            (0, ackdec1, _aux("copy1")),
+            (0, cont, dec1),
+            (0, _aux("c1notickA"), cont),
+            (1, dec1, dec2),
+            (2, ackdec2, _aux("copy2")),
+            (2, _aux("c2notickA"), cont),
+            (3, dec2, state),
+            (4, notick["A"], cont),
+        ], _aux("s1notick")))
+        funcs.append((_aux(f"start2_{state}"), f"fstart2_{state}", [
+            (0, ackdec2, _aux("copy2")),
+            (0, cont, dec2),
+            (0, _aux("c2notickA"), cont),
+            (1, dec2, state),
+            (2, notick["A"], cont),
+        ], _aux("s2notick")))
     for i in (1, 2):
         dec_i = _aux(f"dec{i}")
         ackdec_i = _aux(f"ackdec{i}")
         for mine, sibling in (("A", "B"), ("B", "A")):
-            funcs.append(
-                _fn(
-                    _aux(f"copy{i}"),
-                    f"f{mine}copy{i}",
-                    [
-                        _ev(0, ackdec_i, _aux(f"copy{i}")),
-                        _ev(0, cont, dec_i),
-                        _ev(0, _aux(f"c{i}notick{sibling}"), cont),
-                        _ev(5, dec_i, ackdec_i),
-                    ],
-                    _aux(f"c{i}notick{mine}"),
-                )
-            )
-    contract = validate(laid_out(Contract(f"D_{machine.init}", _aux("start"), tuple(funcs))))
+            funcs.append((_aux(f"copy{i}"), f"f{mine}copy{i}", [
+                (0, ackdec_i, _aux(f"copy{i}")),
+                (0, cont, dec_i),
+                (0, _aux(f"c{i}notick{sibling}"), cont),
+                (5, dec_i, ackdec_i),
+            ], _aux(f"c{i}notick{mine}")))
+    contract = validate(lay_out(f"D_{machine.init}", _aux("start"), funcs))
     assert fragments.classify(contract).determinate
     return contract
 

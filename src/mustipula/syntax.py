@@ -360,7 +360,8 @@ class _Parser:
 # comments before the next token, so the next match starts where it ended.
 # Neither a comment nor the skip may end early: the engine would otherwise
 # backtrack into a comment and read its text as tokens.
-_SKIP = r"(?:\s|//[^\n]*(?![^\n]))*(?!\s|//)"
+# A whitespace run is one `\s*` step, not one group iteration per character.
+_SKIP = r"\s*(?://[^\n]*(?![^\n])\s*)*(?!\s|//)"
 # A keyword or identifier ends where the scanner's identifier token ends.
 _END_OF_WORD = r"(?![A-Za-z0-9_])"
 _NAME = "(" + IDENTIFIER.pattern + ")" + _END_OF_WORD + _SKIP
@@ -390,6 +391,7 @@ def _match(text: str) -> Contract | None:
     pos = m.end()
     functions = []
     line, line_offset = 1, 0  # the line of offset line_offset
+    times: dict[str | None, TimeExpr] = {}  # one per delay text
     while (m := _FUNCTION_RE.match(text, pos)) is not None:
         source, fname = m.groups()
         pos = m.end()
@@ -399,13 +401,15 @@ def _match(text: str) -> Contract | None:
             if text.find("\n", start, pos) < 0:  # the event must end its line
                 return None
             delay, ev_source, ev_target = m.groups()
-            try:
-                offset = int(delay) if delay else 0
-            except ValueError:  # past the interpreter's int conversion limit
-                return None
+            time = times.get(delay)
+            if time is None:
+                try:
+                    time = times[delay] = TimeExpr(int(delay) if delay else 0)
+                except ValueError:  # past the interpreter's int conversion limit
+                    return None
             line += text.count("\n", line_offset, start)
             line_offset = start
-            body.append(EventDecl(TimeExpr(offset), ev_source, ev_target, line))
+            body.append(EventDecl(time, ev_source, ev_target, line))
         m = _TAIL_RE.match(text, pos)
         if m is None:
             return None
@@ -455,15 +459,27 @@ def render(contract: Contract) -> str:
     return "\n".join(out) + "\n"
 
 
-def laid_out(contract: Contract) -> Contract:
-    """`renumber` without the text: each event's line-code is the line
-    `render` puts it on.  It does not `validate`."""
-    functions, line = [], 3  # line 3 opens the first function
-    for fn in contract.functions:
-        body = tuple(EventDecl(e.time, e.source, e.target, line + i) for i, e in enumerate(fn.body, 1))
-        functions.append(FunctionDecl(fn.source, fn.name, body, fn.target))
-        line += len(body) + 2 if body else 1  # `{`, the events and `}`; or `{ }`
-    return Contract(contract.name, contract.init, tuple(functions))
+def lay_out(name: str, init: StateName, functions) -> Contract:
+    """The contract `renumber` would give, built in one pass without text.
+
+    `functions` holds `(source, name, events, target)` specs, each event an
+    `(offset, source, target)` triple.  Each event's line-code is the line
+    `render` puts it on, and equal offsets share one TimeExpr.  It does not
+    `validate`.
+    """
+    times: dict[int, TimeExpr] = {}
+    decls, line = [], 3  # line 3 opens the first function
+    for source, fname, events, target in functions:
+        body = []
+        for offset, ev_source, ev_target in events:
+            time = times.get(offset)
+            if time is None:
+                time = times[offset] = TimeExpr(offset)
+            line += 1
+            body.append(EventDecl(time, ev_source, ev_target, line))
+        decls.append(FunctionDecl(source, fname, tuple(body), target))
+        line += 2 if body else 1  # past `}` to the next function; or past `{ }`
+    return Contract(name, init, tuple(decls))
 
 
 def renumber(contract: Contract) -> Contract:

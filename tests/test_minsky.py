@@ -1,8 +1,13 @@
+import collections
+import hashlib
+import json
+import pathlib
 import tracemalloc
 
 import pytest
 
 import mustipula as mu
+from mustipula import syntax
 from mustipula.errors import (
     DanglingStateError,
     FinalHasInstructionError,
@@ -21,6 +26,7 @@ from helpers import (
     machine_suite,
 )
 
+TESTS = pathlib.Path(__file__).resolve().parent
 SUITE = machine_suite()
 M1 = SUITE["inc_dec_inc"]
 
@@ -233,6 +239,45 @@ def test_encoders_number_lines_as_the_round_trip_does(fragment):
         c = mu.encode(machine, fragment)
         assert mu.renumber(c) == c
         assert mu.parse(mu.render(c)) == c
+
+
+# sha256 digests of `render(encode(machine, fragment))`, taken while the
+# encoders still built every declaration at line 0 and then renumbered it,
+# for the suite machines and inc_chain(1..12).
+ENCODING_DIGESTS = json.loads((TESTS / "encoding_digests.json").read_text())
+
+
+def test_encodings_match_the_pinned_digests():
+    machines = {**SUITE, **{f"inc_chain{n}": inc_chain(n) for n in range(1, 13)}}
+    digests = {}
+    for name, machine in machines.items():
+        for fragment in ("i", "ta", "d"):
+            c = mu.encode(machine, fragment)
+            assert mu.renumber(c) == c
+            digests[f"{name}/{fragment}"] = hashlib.sha256(mu.render(c).encode()).hexdigest()
+    assert digests == ENCODING_DIGESTS
+
+
+def test_encoders_build_each_declaration_once(monkeypatch):
+    built = collections.Counter()
+    for cls in (syntax.EventDecl, syntax.FunctionDecl, syntax.TimeExpr):
+
+        def counted(*args, cls=cls):
+            built[cls.__name__] += 1
+            return cls(*args)
+
+        # Also where `minsky` would hold its own import of the class.
+        for module in (syntax, mu.minsky):
+            monkeypatch.setattr(module, cls.__name__, counted, raising=False)
+    for n in (1, 12, 100):
+        for fragment in ("i", "ta", "d"):
+            built.clear()
+            c = mu.encode(inc_chain(n), fragment)
+            assert built == {
+                "EventDecl": sum(1 for _ in c.events()),
+                "FunctionDecl": len(c.functions),
+                "TimeExpr": len(c.delays),
+            }
 
 
 def test_encode_dispatch():

@@ -254,9 +254,17 @@ def test_renumber_idempotent(c):
     assert mu.renumber(c) == c
 
 
+def specs(contract: Contract) -> list[tuple]:
+    """`syntax.lay_out`'s function specs for a contract."""
+    return [
+        (fn.source, fn.name, [(ev.time.offset, ev.source, ev.target) for ev in fn.body], fn.target)
+        for fn in contract.functions
+    ]
+
+
 @given(raw_contracts())
-def test_laid_out_numbers_lines_as_the_round_trip_does(raw):
-    c = syntax.laid_out(raw)
+def test_lay_out_numbers_lines_as_the_round_trip_does(raw):
+    c = syntax.lay_out(raw.name, raw.init, specs(raw))
     assert c == mu.renumber(raw)
     assert mu.renumber(c) == c
     assert mu.parse(mu.render(c)) == c
@@ -406,3 +414,97 @@ def test_fast_path_parses_rendered_contracts(c):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(syntax, "_Parser", _token_parser_forbidden)
         assert mu.parse(mu.render(c)) == c
+
+
+# ---------------------------------------------------------------------------
+# `_SKIP`: whitespace runs and comments between tokens
+# ---------------------------------------------------------------------------
+
+SKIP_BASE = """stipula S {
+  init Q0
+  @Q0 f {
+    now + 1 >> @Q1 => @Q2
+    now >> @Q2 => @Q0
+  } => @Q1
+  @Q2 g { } => @Q0
+}
+"""
+
+# One character of each kind `\s` matches besides the space and the newline:
+# tab, vertical tab, form feed, carriage return, an ASCII separator, NEL,
+# no-break space, em space and line separator.  None ends a line for the
+# grammar.
+WHITESPACE = "\t\x0b\x0c\r\x1c\x85\xa0\u2003\u2028"
+
+
+def skip_inputs() -> list[str]:
+    """Valid texts whose tokens are parted by unusual whitespace runs and
+    comments."""
+    return [
+        *(SKIP_BASE.replace(" ", ws * 3) for ws in WHITESPACE),
+        SKIP_BASE.replace(" ", WHITESPACE),
+        SKIP_BASE.replace("\n", "\r\n"),
+        SKIP_BASE.replace("\n", " // a comment\r\n"),
+        SKIP_BASE.replace("\n  ", "//c\n"),  # the next token starts its line
+        SKIP_BASE.replace("\n", "// a // b // c\n"),
+        SKIP_BASE.replace("\n", "\n//\n// @Q9 x { } => @Q9\n\n"),
+        SKIP_BASE.rstrip("\n") + "// at the end",
+        SKIP_BASE + "// at the end",
+        SKIP_BASE.replace("init Q0", "init" + " " * 200_000 + "Q0"),
+        SKIP_BASE.replace("} => @Q1", "}" + " \t\n" * 66_667 + "=> @Q1"),
+    ]
+
+
+def test_skip_runs_parse_on_the_fast_path(monkeypatch):
+    token_parser = syntax._Parser
+    monkeypatch.setattr(syntax, "_Parser", _token_parser_forbidden)
+    for text in skip_inputs():
+        assert mu.parse(text) == token_parser(text).contract(), repr(text[:60])
+
+
+def skip_rejects() -> list[str]:
+    """Invalid texts near `skip_inputs`: comments that swallow a token,
+    whitespace that does not end a line, and errors after long runs."""
+    return [
+        SKIP_BASE.rstrip("\n")[:-1] + "// }",
+        SKIP_BASE.replace("@Q2 g { }", "@Q2 g { // }"),
+        SKIP_BASE.replace("} => @Q1", "// } => @Q1"),
+        SKIP_BASE.replace("init Q0", "init // Q0"),
+        "stipula S { init // Q0\n}\n",
+        SKIP_BASE.replace("now >> @Q2 => @Q0", "now >> // @Q2 => @Q0"),
+        SKIP_BASE.replace("init Q0", "init Q0 / /"),
+        SKIP_BASE.replace("@Q2\n    now", "@Q2     now"),
+        SKIP_BASE.replace("@Q2\n    now", "@Q2\r    now"),
+        SKIP_BASE.replace("\n", "\r\n").replace("now >>", "now + >>"),
+        SKIP_BASE.replace(" ", WHITESPACE).replace("}\n", "} }\n", 1),
+        SKIP_BASE.replace("init Q0", "init" + " " * 200_000 + "Q0 }"),
+        SKIP_BASE + " " * 200_000 + "}",
+    ]
+
+
+def test_skip_rejects_report_the_token_parsers_error():
+    for text in skip_rejects():
+        assert syntax._match(text) is None, repr(text[:60])
+        expected = _outcome(lambda t: syntax._Parser(t).contract(), text)
+        assert not isinstance(expected, Contract), repr(text[:60])
+        assert _outcome(mu.parse, text) == expected
+
+
+def test_parse_builds_one_time_expr_per_delay_text(monkeypatch):
+    built = []
+
+    def counted(offset):
+        built.append(offset)
+        return TimeExpr(offset)
+
+    monkeypatch.setattr(syntax, "TimeExpr", counted)
+    monkeypatch.setattr(syntax, "_Parser", _token_parser_forbidden)
+    text = SKIP_BASE.replace("    now >>", "    now + 1 >> @Q1 => @Q0\n    now + 01 >> @Q1 => @Q0\n    now >>")
+    c = mu.parse(text)
+    assert built == [1, 1, 0]  # the texts "1", "01" and none
+    times = [ev.time for ev in c.events()]
+    assert times[0] is times[1] and times[0] is not times[2]
+    text = mu.render(mu.encode(inc_chain(12), "d"))
+    built.clear()
+    delays = mu.parse(text).delays
+    assert sorted(built) == sorted(delays) == [0, 1, 2, 3, 4, 5]
