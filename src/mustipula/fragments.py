@@ -49,8 +49,9 @@ def init_ev(contract: Contract) -> frozenset[StateName]:
 
 def classify(contract: Contract) -> FragmentSet:
     """Decide membership in the I, TA, and D fragments (DI is derived)."""
+    delays = {ev.time.offset for ev in contract.events()}
     return FragmentSet(
-        instantaneous=contract.delays <= {0},
-        time_ahead=0 not in contract.delays,
+        instantaneous=delays <= {0},
+        time_ahead=0 not in delays,
         determinate=contract.init_ev.isdisjoint(contract.by_source),
     )

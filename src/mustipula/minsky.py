@@ -39,7 +39,7 @@ from .errors import (
     MinskySyntaxError,
 )
 from .semantics import PendingEvent, PendingSet
-from .syntax import IDENTIFIER, Contract, StateName, lay_out, validate
+from .syntax import IDENTIFIER, Contract, StateName, lay_out
 
 AUX_PREFIX = "_"
 
@@ -271,7 +271,9 @@ def _check_encodable(machine: MinskyMachine) -> None:
 # Each encoder lists its functions as `syntax.lay_out` specs, in the order of
 # the rendered clause `@source name { events } => @target`: a function is
 # `(source, name, events, target)` and an event `now + offset >> @source =>
-# @target` is `(offset, source, target)`.
+# @target` is `(offset, source, target)`.  The result needs no `validate`:
+# `lay_out` gives each event its own line-code, and distinct machine states
+# give distinct function names.
 
 
 def encode_i(machine: MinskyMachine) -> Contract:
@@ -310,7 +312,7 @@ def encode_i(machine: MinskyMachine) -> Contract:
         ], _aux(f"dec{r}")))
     funcs.append((_aux("dec1"), "fdec1", [], _aux("zero1")))
     funcs.append((_aux("dec2"), "fdec2", [], _aux("zero2")))
-    contract = validate(lay_out(f"I_{machine.init}", _aux("start"), funcs))
+    contract = lay_out(f"I_{machine.init}", _aux("start"), funcs)
     assert fragments.classify(contract).instantaneous
     return contract
 
@@ -362,7 +364,7 @@ def encode_ta(machine: MinskyMachine) -> Contract:
     for state, i in itertools.product(sorted(machine.states), (1, 2)):
         body = [(1, _aux("next"), state)]
         funcs.append((_aux(f"next{i}_{state}"), f"fnext{i}_{state}", body, _aux(f"dec{i}")))
-    contract = validate(lay_out(f"TA_{machine.init}", machine.init, funcs))
+    contract = lay_out(f"TA_{machine.init}", machine.init, funcs)
     assert fragments.classify(contract).time_ahead
     return contract
 
@@ -452,7 +454,7 @@ def encode_d(machine: MinskyMachine) -> Contract:
                 (0, _aux(f"c{i}notick{sibling}"), cont),
                 (5, dec_i, ackdec_i),
             ], _aux(f"c{i}notick{mine}")))
-    contract = validate(lay_out(f"D_{machine.init}", _aux("start"), funcs))
+    contract = lay_out(f"D_{machine.init}", _aux("start"), funcs)
     assert fragments.classify(contract).determinate
     return contract
 

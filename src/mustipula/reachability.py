@@ -29,6 +29,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from . import fragments
 from .errors import DifferentContractsError, NotDIError
 from .semantics import (
     EMPTY_PSI,
@@ -93,11 +94,16 @@ class Verdict:
 # ---------------------------------------------------------------------------
 
 
+def _same_contract(a: Contract, b: Contract, message="configurations belong to different contracts"):
+    """Raise DifferentContractsError(message) unless a and b are equal."""
+    if a is not b and a != b:
+        raise DifferentContractsError(message)
+
+
 def config_leq(a: Configuration, b: Configuration) -> bool:
     """The well-quasi-ordering on configurations: equal state, equal sigma,
     and a's pending multiset included in b's.  Clocks are ignored."""
-    if a.contract is not b.contract and a.contract != b.contract:
-        raise DifferentContractsError("configurations belong to different contracts")
+    _same_contract(a.contract, b.contract)
     return a.state == b.state and a.sigma == b.sigma and a.psi.issubmultiset(b.psi)
 
 
@@ -122,8 +128,8 @@ class CoverBasis:
     def _bucket(self, cfg: Configuration) -> list[Configuration]:
         if self._contract is None:
             self._contract = cfg.contract
-        elif cfg.contract is not self._contract and cfg.contract != self._contract:
-            raise DifferentContractsError("configurations belong to different contracts")
+        else:
+            _same_contract(cfg.contract, self._contract)
         return self._buckets.get((cfg.state, cfg.sigma), [])
 
     def covers(self, cfg: Configuration) -> bool:
@@ -161,7 +167,7 @@ def minimize_basis(configs: Iterable[Configuration]) -> CoverBasis:
 
 
 def _require_di(contract: Contract):
-    if not contract.fragment_set.det_instantaneous:
+    if not fragments.classify(contract).det_instantaneous:
         raise NotDIError(
             "the complete procedure requires a determinate-instantaneous contract"
         )
@@ -174,8 +180,10 @@ def pred_basis(contract: Contract, target: Configuration) -> frozenset[Configura
     State-Change ones of an empty-continuation target, the committed body
     subtracted saturating, plus the target itself when its psi is empty and
     its state admits tick-plus, since a tick empties any DI multiset.
-    Raises `ValueError` on a pending event not declared at delay 0."""
+    Raises `ValueError` on a pending event not declared at delay 0, and
+    DifferentContractsError on a target of another contract."""
     _require_di(contract)
+    _same_contract(target.contract, contract, "target belongs to a different contract")
     backward = _Backward(contract)
     return frozenset(map(backward.config, backward.packed(backward._preds, target)))
 
@@ -342,8 +350,7 @@ def decide_coverable(contract: Contract, target: Configuration) -> bool:
     raises its error, as in `unreachable_clauses`."""
     validate(contract)
     _require_di(contract)
-    if target.contract is not contract and target.contract != contract:
-        raise DifferentContractsError("target belongs to a different contract")
+    _same_contract(target.contract, contract, "target belongs to a different contract")
     if target.sigma is not None:
         raise ValueError("coverability targets must have an empty continuation")
     return _Backward(contract).decide(target)
@@ -554,7 +561,7 @@ def unreachable_clauses(
     """
     validate(contract)
     verdicts: dict[ClauseId, Verdict] = {}
-    if contract.fragment_set.det_instantaneous:
+    if fragments.classify(contract).det_instantaneous:
         backward = _Backward(contract)
         for fn in contract.functions:
             ok = backward.decide(state_target(contract, fn.source))

@@ -8,7 +8,7 @@ declared by use; there is no separate state table.
 Line-codes: every event declaration is identified by the 1-based physical
 line it occupies in the source text, and at most one event may occupy a
 line.  Contracts built programmatically get fresh line-codes from
-:func:`laid_out`, the renderer's layout, or :func:`renumber`, a reparse.
+:func:`lay_out`, the renderer's layout, or :func:`renumber`, a reparse.
 """
 
 from __future__ import annotations
@@ -63,19 +63,12 @@ class FunctionDecl:
     target: StateName
 
     @functools.cached_property
-    def lowered(self):
-        """The body as the pending multiset an invocation schedules."""
-        from .semantics import lower
-
-        return lower(self.body)
-
-    @functools.cached_property
     def call(self):
         """The (Label, Body) pair of invoking this clause: the call label and
-        the continuation `lowered => target` it installs."""
-        from .semantics import Body, Label
+        the continuation `lower(body) => target` it installs."""
+        from .semantics import Body, Label, lower
 
-        return Label("call", name=self.name), Body(self.lowered, self.target)
+        return Label("call", name=self.name), Body(lower(self.body), self.target)
 
 
 def _group(items, key) -> dict:
@@ -105,13 +98,6 @@ class Contract:
         return _group(self.functions, lambda fn: fn.source)
 
     @functools.cached_property
-    def fragment_set(self):
-        """The fragments the contract belongs to (`fragments.classify`)."""
-        from . import fragments
-
-        return fragments.classify(self)
-
-    @functools.cached_property
     def events_by_line(self) -> dict[int, EventDecl]:
         """Each line-code's event; the first declaration wins a clash."""
         out: dict[int, EventDecl] = {}
@@ -123,11 +109,6 @@ class Contract:
     def init_ev(self) -> frozenset[StateName]:
         """InitEv: the source states of all events."""
         return frozenset(ev.source for ev in self.events())
-
-    @functools.cached_property
-    def delays(self) -> frozenset[int]:
-        """The time offsets of all events."""
-        return frozenset(ev.time.offset for ev in self.events())
 
     def events(self) -> Iterator[EventDecl]:
         """All event declarations, in declaration order."""
@@ -464,8 +445,8 @@ def lay_out(name: str, init: StateName, functions) -> Contract:
 
     `functions` holds `(source, name, events, target)` specs, each event an
     `(offset, source, target)` triple.  Each event's line-code is the line
-    `render` puts it on, and equal offsets share one TimeExpr.  It does not
-    `validate`.
+    `render` puts it on, so no two events share one, and equal offsets share
+    one TimeExpr.  It does not check for duplicate function clauses.
     """
     times: dict[int, TimeExpr] = {}
     decls, line = [], 3  # line 3 opens the first function

@@ -249,7 +249,7 @@ def reference_pred_basis(contract: Contract, target: Configuration) -> frozenset
     if target.sigma is not None:
         body_events, body_target = target.sigma
         for fn in contract.by_source.get(target.state, ()):
-            if fn.target == body_target and fn.lowered == body_events:
+            if fn.target == body_target and mu.lower(fn.body) == body_events:
                 preds.add(Configuration(contract, target.state, None, target.psi, 0))
         if not body_events:
             for ev in contract.events():
@@ -260,8 +260,9 @@ def reference_pred_basis(contract: Contract, target: Configuration) -> frozenset
         for fn in contract.functions:
             if fn.target == target.state:
                 # Multiset difference, saturating at empty.
-                psi = PendingSet((Counter(target.psi) - Counter(fn.lowered)).elements())
-                preds.add(Configuration(contract, fn.source, Body(fn.lowered, fn.target), psi, 0))
+                lowered = mu.lower(fn.body)
+                psi = PendingSet((Counter(target.psi) - Counter(lowered)).elements())
+                preds.add(Configuration(contract, fn.source, Body(lowered, fn.target), psi, 0))
         for ev in contract.events():
             if ev.target == target.state:
                 body = Body(EMPTY_PSI, target.state)

@@ -276,8 +276,27 @@ def test_encoders_build_each_declaration_once(monkeypatch):
             assert built == {
                 "EventDecl": sum(1 for _ in c.events()),
                 "FunctionDecl": len(c.functions),
-                "TimeExpr": len(c.delays),
+                "TimeExpr": len({ev.time.offset for ev in c.events()}),
             }
+
+
+def test_encoders_need_no_validate(monkeypatch):
+    # `lay_out` gives distinct line-codes and distinct machine states give
+    # distinct function names, so no encoder re-checks its output.
+    def forbidden(contract):
+        raise AssertionError("an encoder ran syntax.validate")
+
+    machines = [*SUITE.values(), *(inc_chain(n) for n in (1, 12, 100))]
+    encodings = []
+    with monkeypatch.context() as patch:
+        # Also where `minsky` would hold its own import of `validate`.
+        for module in (syntax, mu.minsky):
+            patch.setattr(module, "validate", forbidden, raising=False)
+        for machine in machines:
+            for fragment in ("i", "ta", "d"):
+                encodings.append(mu.encode(machine, fragment))
+    for c in encodings:
+        assert mu.validate(c) is c
 
 
 def test_encode_dispatch():

@@ -160,6 +160,17 @@ def test_pred_basis_requires_di():
         mu.decide_coverable(pingpong(), mu.state_target(pingpong(), "Q3"))
 
 
+def test_pred_basis_rejects_a_target_of_another_contract():
+    # Chain's state C and Sample's event at line 4 would give predecessors
+    # built from Sample's clauses.
+    for target in (mu.state_target(chain(), "C"), mu.event_target(chain(), 4)):
+        with pytest.raises(DifferentContractsError):
+            mu.pred_basis(sample(), target)
+    # Equal contracts parsed twice are the same contract.
+    c = chain()
+    assert mu.pred_basis(chain(), mu.state_target(c, "C")) == mu.pred_basis(c, mu.state_target(c, "C"))
+
+
 def test_pred_basis_chain_state_target():
     c = chain()
     got = mu.pred_basis(c, mu.state_target(c, "C"))
@@ -355,7 +366,7 @@ def test_witnesses_follow_clauses_that_share_a_name():
         "  @A f {\n    now + 1 >> @B => @A\n  } => @C\n}"
     )
     contract = mu.parse(src)
-    assert not contract.fragment_set.det_instantaneous
+    assert not mu.classify(contract).det_instantaneous
     verdict = mu.bounded_reach(contract, "C", LIMITS)
     assert verdict.witness.labels() == ["call:f", "statechange"]
     assert verdict.witness.steps[-1].config.state == "C"
@@ -880,7 +891,7 @@ def test_paths_and_fallback_witnesses_agree_with_reference(mode):
                     assert not path or path[-1].config is exploration.config(node)
                 for node, cfg in enumerate(exploration.configs):
                     assert cfg is exploration.config(node)
-            if contract.name == "Clash" or contract.fragment_set.det_instantaneous:
+            if contract.name == "Clash" or mu.classify(contract).det_instantaneous:
                 continue  # rejected by `validate`, or decided backward
             witnesses, reclocked = _fallback_witnesses(contract, exploration, configs, parents)
             got = {

@@ -46,8 +46,7 @@ def test_parse_sample():
     assert g.name == "g" and g.body == ()
     # The cached facts take no part in equality or hashing.
     assert c.by_source == {"Init": (f, g)} and c.events_by_line == {4: f.body[0]}
-    assert c.init_ev == {"Go"} and c.delays == {0} and len(f.lowered) == 1
-    assert c.fragment_set == mu.classify(c) and c.fragment_set.det_instantaneous
+    assert c.init_ev == {"Go"} and len(f.call[1].events) == 1
     fresh = sample()
     assert "by_source" in vars(c) and "by_source" not in vars(fresh)
     assert c == fresh and hash(c) == hash(fresh)
@@ -506,5 +505,5 @@ def test_parse_builds_one_time_expr_per_delay_text(monkeypatch):
     assert times[0] is times[1] and times[0] is not times[2]
     text = mu.render(mu.encode(inc_chain(12), "d"))
     built.clear()
-    delays = mu.parse(text).delays
+    delays = {ev.time.offset for ev in mu.parse(text).events()}
     assert sorted(built) == sorted(delays) == [0, 1, 2, 3, 4, 5]
