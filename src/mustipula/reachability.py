@@ -397,7 +397,6 @@ class Exploration:
     `pruned` counts, per limit, the steps to unvisited configurations that
     the limit turned away."""
 
-    contract: Contract
     table: StepTable
     packed: list[tuple]
     clocks: list[int]
@@ -420,7 +419,7 @@ class Exploration:
         cfg = self._nodes.get(node)
         if cfg is None:
             cfg = self._nodes[node] = Configuration(
-                self.contract, *self.table.decode(self.packed[node]), self.clocks[node]
+                self.table.contract, *self.table.decode(self.packed[node]), self.clocks[node]
             )
         return cfg
 
@@ -466,7 +465,7 @@ def explore(
     mode."""
     start = start if start is not None else initial_config(contract)
     table = StepTable(contract, start, mode)
-    exploration = Exploration(contract, table, [table.start], [0], [None], [])
+    exploration = Exploration(table, [table.start], [0], [None], [])
     if target_state == start.state and start.sigma is None:
         return exploration, 0
     packed, clocks = exploration.packed, exploration.clocks
@@ -592,21 +591,22 @@ def unreachable_clauses(
         else:
             continue
         first_use.setdefault(key, edge)
-    for fn in contract.functions:
-        verdicts[ClauseId.of_function(fn)] = Verdict.unknown(exploration.limit_hit)
-    for ev in contract.events():
-        verdicts[ClauseId.of_event(ev)] = Verdict.unknown(exploration.limit_hit)
-    for key, (node, label, child) in first_use.items():
-        if label.kind == "call":
-            clause = ClauseId("function", *key)
-        else:
-            clause = ClauseId.of_event(contract.event_at_line(key))
+
+    def witnessed(edge: tuple[int, Label, int] | None) -> Verdict:
+        if edge is None:
+            return Verdict.unknown(exploration.limit_hit)
+        node, label, child = edge
         # A call or event step keeps the clock; clocks[child] may be the
         # clock of another path.
         cfg = exploration.config(child)
         if cfg.clock != clocks[node]:
             cfg = Configuration(contract, cfg.state, cfg.sigma, cfg.psi, clocks[node])
-        verdicts[clause] = Verdict.reachable(Trace(exploration.path(node) + (TraceStep(label, cfg),)))
+        return Verdict.reachable(Trace(exploration.path(node) + (TraceStep(label, cfg),)))
+
+    for fn in contract.functions:
+        verdicts[ClauseId.of_function(fn)] = witnessed(first_use.get((fn.source, fn.name, fn.target)))
+    for ev in contract.events():
+        verdicts[ClauseId.of_event(ev)] = witnessed(first_use.get(ev.line))
     return verdicts
 
 

@@ -20,12 +20,11 @@ No rule reads the clock; it is carried for trace readability only.
 
 `_enabled` and `_take` are the rules over the parts (state, sigma, psi):
 the first lists the enabled rule instances unbuilt, the second builds the
-move of one.  `moves` builds every option, for `successors`; `random_steps`
-draws one option and builds only that.  Both emit a configuration at every
-step and hash none, so interning the parts cannot pay there.  `StepTable`
-is the same function on interned ids, compiled for each forward search,
-which hashes every configuration it meets and builds configurations only
-for its output.
+move of one.  `successors` builds every option; `random_steps` draws one
+option and builds only that.  Both emit a configuration at every step and
+hash none, so interning the parts cannot pay there.  `StepTable` runs the
+same rules on interned ids, compiled for each forward search, which hashes
+every configuration it meets and builds configurations only for its output.
 """
 
 from __future__ import annotations
@@ -229,20 +228,6 @@ def _take(state: StateName, psi: PendingSet, option) -> Move:
     return (STATECHANGE, target, None, psi.union(body_events), 0)
 
 
-def moves(
-    contract: Contract,
-    state: StateName,
-    sigma: Continuation,
-    psi: PendingSet,
-    mode: Mode = Mode.TICK,
-) -> list[Move]:
-    """All enabled one-step transitions from (state, sigma, psi), in the
-    order of `_enabled`: firable events by line-code, then functions in
-    declaration order, then the tick.  A non-empty sigma yields exactly one
-    state-change."""
-    return [_take(state, psi, option) for option in _enabled(contract, state, sigma, psi, mode)]
-
-
 class _Events(dict):
     """Packed pending event -> `PendingEvent`, decoded on first lookup.  It
     holds the shapes, not the table, so it closes no reference cycle."""
@@ -259,8 +244,8 @@ class _Events(dict):
 
 
 class StepTable:
-    """`moves` for one forward search, over interned ids, compiled from the
-    contract, the search's start configuration and its mode.
+    """The rules for one forward search, over interned ids, compiled from
+    the contract, the search's start configuration and its mode.
 
     A state is its name.  A continuation is an int interned on its value
     `(body, target)`, so equal continuations share one id however they
@@ -338,8 +323,9 @@ class StepTable:
         return fire
 
     def moves(self, state: StateName, sigma: int | None, psi: tuple) -> list:
-        """`moves` on packed parts, as (label, (state', sigma', psi'), ticks)
-        in label-text order: the order `explore` expands them in."""
+        """The enabled moves from packed parts, as (label, (state', sigma',
+        psi'), ticks) in label-text order: the order `explore` expands them
+        in."""
         if sigma is not None:
             target, body = self.sigma_parts[sigma]
             return [(STATECHANGE, (target, None, tuple(sorted(psi + body)) if body else psi), 0)]
@@ -367,12 +353,16 @@ class StepTable:
 
 
 def successors(cfg: Configuration, mode: Mode = Mode.TICK) -> list[tuple[Label, Configuration]]:
-    """The moves from `cfg`, in the same order, as configurations."""
+    """All enabled one-step transitions from `cfg`, in the order of
+    `_enabled`: firable events by line-code, then functions in declaration
+    order, then the tick.  A non-empty sigma yields exactly one
+    state-change."""
     contract, clock = cfg.contract, cfg.clock
-    return [
-        (label, Configuration(contract, state, sigma, psi, clock + ticks))
-        for label, state, sigma, psi, ticks in moves(contract, cfg.state, cfg.sigma, cfg.psi, mode)
-    ]
+    out = []
+    for option in _enabled(contract, cfg.state, cfg.sigma, cfg.psi, mode):
+        label, state, sigma, psi, ticks = _take(cfg.state, cfg.psi, option)
+        out.append((label, Configuration(contract, state, sigma, psi, clock + ticks)))
+    return out
 
 
 def is_stuck(cfg: Configuration) -> bool:

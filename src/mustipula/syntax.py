@@ -71,14 +71,6 @@ class FunctionDecl:
         return Label("call", name=self.name), Body(lower(self.body), self.target)
 
 
-def _group(items, key) -> dict:
-    """Items by key, each group in the items' order."""
-    out: dict = {}
-    for item in items:
-        out.setdefault(key(item), []).append(item)
-    return {k: tuple(group) for k, group in out.items()}
-
-
 @dataclass(frozen=True)
 class Contract:
     """A contract: name, initial state, and a sequence of function clauses.
@@ -95,7 +87,10 @@ class Contract:
     @functools.cached_property
     def by_source(self) -> dict[StateName, tuple[FunctionDecl, ...]]:
         """The functions leaving each state, in declaration order."""
-        return _group(self.functions, lambda fn: fn.source)
+        out: dict = {}
+        for fn in self.functions:
+            out.setdefault(fn.source, []).append(fn)
+        return {state: tuple(fns) for state, fns in out.items()}
 
     @functools.cached_property
     def events_by_line(self) -> dict[int, EventDecl]:

@@ -351,9 +351,9 @@ def all_clause_targets(contract: Contract) -> list[Configuration]:
 
 
 def reference_successors(cfg: Configuration, mode=mu.Mode.TICK) -> list:
-    """`successors` as it was written before every engine stepped through
-    `semantics.moves`: a fresh Label and Configuration per successor, and
-    every pending multiset rebuilt through the sorting constructor."""
+    """`successors` as it was written before it stepped through `_enabled`
+    and `_take`: a fresh Label and Configuration per successor, and every
+    pending multiset rebuilt through the sorting constructor."""
     contract, state, psi, clock = cfg.contract, cfg.state, cfg.psi, cfg.clock
     if cfg.sigma is not None:
         body_events, target = cfg.sigma

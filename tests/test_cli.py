@@ -285,6 +285,13 @@ def test_minsky_parse_error_exit_two(files, capsys):
     assert main(["minsky-run", str(bad)]) == 2
 
 
+def test_minsky_run_without_final_line_exits_two(files, capsys):
+    bad = files["dir"] / "nofinal.minsky"
+    bad.write_text("init Q0\nQ0: inc r1 QF\n")
+    assert main(["minsky-run", str(bad)]) == 2
+    assert capsys.readouterr() == ("", "error: machine needs one 'init' and one 'final' line\n")
+
+
 def test_decide_unknown_event_line(files, capsys):
     assert main(["decide", files["sample"], "--event", "9"]) == 2
     assert "no event declared" in capsys.readouterr().err

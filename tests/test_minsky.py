@@ -54,29 +54,36 @@ def test_parse_minsky_trivial_machine_halts_immediately():
     assert mu.minsky_run(machine, 10) == Halted(0, 0, 0)
 
 
-def test_parse_minsky_rejects_bad_register():
-    with pytest.raises(MinskySyntaxError):
-        mu.parse_minsky("init Q0\nfinal QF\nQ0: inc r3 QF\n")
-
-
-def test_parse_minsky_rejects_final_with_instruction():
-    with pytest.raises(FinalHasInstructionError):
-        mu.parse_minsky("init Q0\nfinal Q0\nQ0: inc r1 Q0\n")
-
-
-def test_parse_minsky_rejects_dangling_state():
-    with pytest.raises(DanglingStateError):
-        mu.parse_minsky("init Q0\nfinal QF\nQ0: inc r1 Qmissing\n")
-
-
-def test_parse_minsky_rejects_duplicate_instruction():
-    with pytest.raises(MinskySyntaxError):
-        mu.parse_minsky("init Q0\nfinal QF\nQ0: inc r1 QF\nQ0: inc r2 QF\n")
-
-
-def test_parse_minsky_rejects_reserved_prefix():
-    with pytest.raises(MinskySyntaxError):
-        mu.parse_minsky("init _Q0\nfinal QF\n_Q0: inc r1 QF\n")
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        pytest.param(lambda: mu.parse_minsky("init Q0\nfinal QF\nQ0: inc r3 QF\n"),
+                     MinskySyntaxError, "line 3: cannot parse 'Q0: inc r3 QF'", id="bad_register"),
+        pytest.param(lambda: mu.parse_minsky("init Q0\nfinal Q0\nQ0: inc r1 Q0\n"),
+                     FinalHasInstructionError, "final state Q0 has an instruction", id="final_with_instruction"),
+        pytest.param(lambda: mu.parse_minsky("init Q0\nfinal QF\nQ0: inc r1 Qmissing\n"),
+                     DanglingStateError, "instruction at Q0 jumps to Qmissing, which has no instruction and is not final",
+                     id="dangling_state"),
+        pytest.param(lambda: mu.parse_minsky("init Q0\nfinal QF\nQ0: inc r1 QF\nQ0: inc r2 QF\n"),
+                     MinskySyntaxError, "line 4: duplicate instruction for Q0", id="duplicate_instruction"),
+        pytest.param(lambda: mu.parse_minsky("init _Q0\nfinal QF\n_Q0: inc r1 QF\n"),
+                     MinskySyntaxError, "state name '_Q0' starts with '_', which is reserved for encoder auxiliaries",
+                     id="reserved_prefix"),
+        pytest.param(lambda: mu.parse_minsky("init Q0\nQ0 inc r1 QF\nfinal QF\n"),
+                     MinskySyntaxError, "line 2: cannot parse 'Q0 inc r1 QF'", id="missing_colon"),
+        pytest.param(lambda: mu.parse_minsky("init Q0\nQ0: inc r1 QF\n"),
+                     MinskySyntaxError, "machine needs one 'init' and one 'final' line", id="no_final"),
+        pytest.param(lambda: mu.parse_minsky("init Q0\ninit Q1\nfinal QF\n"),
+                     MinskySyntaxError, "line 2: cannot parse 'init Q1'", id="second_init"),
+        pytest.param(lambda: Inc(3, "Q"), MinskySyntaxError, "registers are r1 and r2", id="inc_register"),
+        pytest.param(lambda: DecJump(0, "A", "B"), MinskySyntaxError, "registers are r1 and r2", id="decjump_register"),
+    ],
+)
+def test_parse_minsky_rejects_bad_input(build, error, message):
+    # Each input error, with its exact type and message.
+    with pytest.raises(MinskySyntaxError) as err:
+        build()
+    assert type(err.value) is error and str(err.value) == message
 
 
 def test_minsky_step_examples():

@@ -15,7 +15,7 @@ import pytest
 import mustipula as mu
 from mustipula.errors import DifferentContractsError, InvalidContractError, NotDIError
 from mustipula.semantics import (
-    EMPTY_PSI, Body, Configuration, Mode, PendingEvent, PendingSet, StepTable, TraceStep, moves,
+    EMPTY_PSI, Body, Configuration, Mode, PendingEvent, PendingSet, StepTable, TraceStep,
 )
 from mustipula.syntax import ClauseId, Contract, EventDecl, FunctionDecl, TimeExpr
 
@@ -780,7 +780,8 @@ def _forward_corpus():
 @pytest.mark.parametrize("mode", list(Mode))
 def test_forward_engine_agrees_with_reference(mode):
     # The reference is the engine before every step went through
-    # `semantics.moves`.  Each cap stops some of the searches.
+    # `_enabled`/`_take` or the step table.  Each cap stops some of the
+    # searches.
     stats = Counter()
     wide = mu.ExplorationLimits(400, 40, 12)
     for contract in _forward_corpus():
@@ -801,20 +802,21 @@ def test_forward_engine_agrees_with_reference(mode):
 
 
 @pytest.mark.parametrize("mode", list(Mode))
-def test_step_table_agrees_with_moves(mode):
+def test_step_table_agrees_with_successors(mode):
     # From every node of a capped search, the packed moves decode to
-    # `semantics.moves` in label-text order: one move per distinct firable
-    # event, however many copies are pending.
+    # `successors` of the node at clock 0, in label-text order, with each
+    # move's ticks as the clock: one move per distinct firable event, however
+    # many copies are pending.
     for contract in _forward_corpus():
         exploration, _ = mu.explore(contract, mode, mu.ExplorationLimits(400, 40, 12))
         table = exploration.table
         for key in exploration.packed:
             got = [
-                (label, *table.decode(nxt), ticks)
+                (label, Configuration(contract, *table.decode(nxt), ticks))
                 for label, nxt, ticks in table.moves(*key)
             ]
-            want = moves(contract, *table.decode(key), mode)
-            assert got == sorted(want, key=lambda move: move[0].text())
+            want = mu.successors(Configuration(contract, *table.decode(key)), mode)
+            assert got == sorted(want, key=lambda step: step[0].text())
 
 def test_explore_from_a_start_agrees_with_reference():
     # Starts with pending events, a continuation, undeclared event shapes
