@@ -10,6 +10,7 @@ is no failure: exit 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import os
@@ -191,7 +192,10 @@ def _cmd_minsky_run(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: it keeps no state
+    between `parse_args` calls."""
     parser = argparse.ArgumentParser(
         prog="mustipula", description="Contract interpreter and reachability analyzer"
     )
@@ -200,11 +204,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parse", help="parse a contract; print its canonical form")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_parse)
 
     p = sub.add_parser("classify", help="report fragment membership and InitEv")
     p.add_argument("file")
-    p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("run", help="sample a random execution trace")
     p.add_argument("file")
@@ -212,50 +214,47 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     _add_mode_flag(p)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("reach", help="bounded forward search for a state")
     p.add_argument("file")
     p.add_argument("--state", required=True)
     _add_limit_flags(p)
     _add_mode_flag(p)
-    p.set_defaults(fn=_cmd_reach)
 
     p = sub.add_parser("decide", help="complete DI decision for a state or event")
     p.add_argument("file")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--state")
     group.add_argument("--event", type=int)
-    p.set_defaults(fn=_cmd_decide)
 
     p = sub.add_parser("unreachable", help="per-clause reachability verdicts")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
     _add_limit_flags(p)
     _add_mode_flag(p)
-    p.set_defaults(fn=_cmd_unreachable)
 
     p = sub.add_parser("encode-minsky", help="compile a counter machine to a contract")
     p.add_argument("file")
     p.add_argument("--fragment", choices=["i", "ta", "d"], required=True)
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(fn=_cmd_encode_minsky)
 
     p = sub.add_parser("minsky-run", help="run a counter machine")
     p.add_argument("file")
     p.add_argument("--fuel", type=int, default=10_000)
-    p.set_defaults(fn=_cmd_minsky_run)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # Looked up at call time, so a handler replaced after the parser was
+    # built is the one that runs.
+    command = globals()["_cmd_" + args.command.replace("-", "_")]
     # A parse builds a large acyclic AST: pause the cyclic collector meanwhile.
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return args.fn(args)
+        return command(args)
     except NotDIError as err:
         print(f"NotDI: {err}", file=sys.stderr)
         return EXIT_FRAGMENT

@@ -101,7 +101,9 @@ class Body(NamedTuple):
 Continuation = Body | None
 
 
-@dataclass(frozen=True, slots=True)
+# Configuration and Label are filled through their slots' descriptors, as
+# syntax.EventDecl is: about half the cost of `object.__setattr__` per field.
+@dataclass(frozen=True, slots=True, init=False)
 class Configuration:
     """Runtime state of a contract: (state, sigma, psi) plus the clock.
 
@@ -115,8 +117,21 @@ class Configuration:
     psi: PendingSet = EMPTY_PSI
     clock: int = 0
 
+    def __init__(self, contract, state="", sigma=None, psi=EMPTY_PSI, clock=0):
+        _set_contract(self, contract)
+        _set_state(self, state)
+        _set_sigma(self, sigma)
+        _set_psi(self, psi)
+        _set_clock(self, clock)
 
-@dataclass(frozen=True, slots=True)
+
+_set_contract, _set_state, _set_sigma, _set_psi, _set_clock = (
+    Configuration.__dict__[name].__set__
+    for name in ("contract", "state", "sigma", "psi", "clock")
+)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Label:
     """Transition label.
 
@@ -129,12 +144,22 @@ class Label:
     name: str | None = None  # function name when kind == "call"
     line: int | None = None  # event line-code when kind == "event"
 
+    def __init__(self, kind, name=None, line=None):
+        _set_kind(self, kind)
+        _set_name(self, name)
+        _set_line(self, line)
+
     def text(self) -> str:
         if self.kind == "call":
             return f"call:{self.name}"
         if self.kind == "event":
             return f"ev:{self.line}"
         return self.kind
+
+
+_set_kind, _set_name, _set_line = (
+    Label.__dict__[name].__set__ for name in ("kind", "name", "line")
+)
 
 
 TICK = Label("tick")

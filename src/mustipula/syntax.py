@@ -43,7 +43,7 @@ class TimeExpr:
         return "now" if self.offset == 0 else f"now + {self.offset}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class EventDecl:
     """An event declaration `time >> @source => @target` at a source line."""
 
@@ -51,6 +51,19 @@ class EventDecl:
     source: StateName
     target: StateName
     line: int
+
+    def __init__(self, time, source, target, line):
+        # A frozen instance is filled through its slots' descriptors, at
+        # about half the cost of the generated `object.__setattr__` calls.
+        _set_time(self, time)
+        _set_source(self, source)
+        _set_target(self, target)
+        _set_line(self, line)
+
+
+_set_time, _set_source, _set_target, _set_line = (
+    EventDecl.__dict__[name].__set__ for name in ("time", "source", "target", "line")
+)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from mustipula import cli, parse, run_random, trace_json
+from mustipula import cli, parse, render, run_random, trace_json
 from mustipula.cli import main
 
 from helpers import CHAIN, MACHINES, PINGPONG, SAMPLE
@@ -301,6 +301,31 @@ def test_unknown_flag_rejected(files):
     with pytest.raises(SystemExit) as err:
         main(["classify", files["sample"], "--bogus"])
     assert err.value.code == 2
+
+
+def test_one_parser_serves_every_call(files, capsys, monkeypatch):
+    # The parser is built once per process; each call still gets its own
+    # flags and defaults, the handler in place at call time and argparse's
+    # exit 2.
+    cli._build_parser.cache_clear()
+    assert main(["parse", "--json", files["sample"]]) == 0
+    assert json.loads(capsys.readouterr().out)["name"] == "Sample"
+    assert main(["parse", files["sample"]]) == 0
+    assert capsys.readouterr().out == render(parse(SAMPLE))
+    assert main(["run", files["pingpong"], "--steps", "3"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    assert main(["run", files["pingpong"]]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 20
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_classify", lambda args: seen.append(args.file) or 0)
+    assert main(["classify", files["sample"]]) == 0
+    assert seen == [files["sample"]]
+    for argv in (["parse"], ["frobnicate"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: mustipula")
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def readme_examples() -> list[tuple[list[str], str]]:

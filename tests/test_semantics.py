@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import random
 from collections import Counter
@@ -16,7 +17,7 @@ from mustipula.semantics import (
     PendingEvent,
     PendingSet,
 )
-from mustipula.syntax import Contract
+from mustipula.syntax import Contract, EventDecl, TimeExpr
 
 from helpers import (
     GOLDEN_LABELS,
@@ -224,6 +225,58 @@ def test_configurations_and_labels_are_slotted_value_objects():
     for record in (cfg, Label("tick")):
         with pytest.raises(TypeError):
             vars(record)
+
+
+GO_END = PendingEvent(2, 4, "Go", "End")
+
+
+@pytest.mark.parametrize(
+    "value, fields, text",
+    [
+        (
+            EventDecl(TimeExpr(2), "Q1", "Q2", 4),
+            ("time", "source", "target", "line"),
+            "EventDecl(time=TimeExpr(offset=2), source='Q1', target='Q2', line=4)",
+        ),
+        (
+            Configuration(None, "Q1", None, PendingSet([GO_END]), 3),
+            ("contract", "state", "sigma", "psi", "clock"),
+            "Configuration(state='Q1', sigma=None, psi=(PendingEvent(delay=2, line=4, "
+            "source='Go', target='End'),), clock=3)",
+        ),
+        (
+            Configuration(None),
+            ("contract", "state", "sigma", "psi", "clock"),
+            "Configuration(state='', sigma=None, psi=(), clock=0)",
+        ),
+        (
+            Label("call", name="f"),
+            ("kind", "name", "line"),
+            "Label(kind='call', name='f', line=None)",
+        ),
+        (semantics.TICK, ("kind", "name", "line"), "Label(kind='tick', name=None, line=None)"),
+    ],
+    ids=["event", "configuration", "configuration-defaults", "call-label", "tick-label"],
+)
+def test_value_types_keep_their_contract(value, fields, text):
+    # The hand-written __init__s of the slotted frozen types keep what the
+    # generated ones gave: fields, defaults, keywords, repr, eq and hash.
+    cls = type(value)
+    assert tuple(f.name for f in dataclasses.fields(cls)) == fields
+    assert repr(value) == text
+    kwargs = {name: getattr(value, name) for name in fields}
+    assert cls(**kwargs) == value and cls(*kwargs.values()) == value
+    compared = tuple(f.name for f in dataclasses.fields(cls) if f.compare)
+    assert hash(value) == hash(tuple(getattr(value, name) for name in compared))
+    assert dataclasses.replace(value) == value and copy.deepcopy(value) == value
+    assert copy.deepcopy(value) is not value
+    for name in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, getattr(value, name))
+    with pytest.raises(TypeError):
+        vars(value)
+    changed = dataclasses.replace(value, **{fields[-1]: 99})
+    assert getattr(changed, fields[-1]) == 99 and changed != value
 
 
 def test_is_stuck():
