@@ -83,7 +83,8 @@ def _contract_payload(contract: syntax.Contract) -> dict:
 def _cmd_parse(args) -> int:
     contract = syntax.parse(_read(args.file))
     if args.json:
-        print(json.dumps(_contract_payload(contract), separators=(",", ":")))
+        # The payload is a fresh tree of dicts and lists, so it has no cycle.
+        print(json.dumps(_contract_payload(contract), separators=(",", ":"), check_circular=False))
     else:
         sys.stdout.write(syntax.render(contract))
     return EXIT_OK

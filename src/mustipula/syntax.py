@@ -342,15 +342,18 @@ class _Parser:
 
 
 # ---------------------------------------------------------------------------
-# Fast path: one regex match per production
+# Fast path: comments deleted, then one regex match per production and one
+# `findall` per function body
 # ---------------------------------------------------------------------------
 
-# Each production starts at a token and ends with `_SKIP`, the whitespace and
-# comments before the next token, so the next match starts where it ended.
-# Neither a comment nor the skip may end early: the engine would otherwise
-# backtrack into a comment and read its text as tokens.
-# A whitespace run is one `\s*` step, not one group iteration per character.
-_SKIP = r"\s*(?://[^\n]*(?![^\n])\s*)*(?!\s|//)"
+# No token contains `/`, so the scanner reads every `//` outside a comment as
+# the start of one that runs to its newline.  Deleting that text keeps every
+# newline, so token boundaries and line-codes do not move.
+_COMMENT_RE = re.compile(r"//[^\n]*")
+# Each production starts at a token and ends with the whitespace before the
+# next one.  No token starts with whitespace, so backtracking into the run
+# never makes a match.
+_SKIP = r"\s*"
 # A keyword or identifier ends where the scanner's identifier token ends.
 _END_OF_WORD = r"(?![A-Za-z0-9_])"
 _NAME = "(" + IDENTIFIER.pattern + ")" + _END_OF_WORD + _SKIP
@@ -361,9 +364,10 @@ _HEADER_RE = re.compile(
     + "init" + _END_OF_WORD + _SKIP + _STATE
 )
 _FUNCTION_RE = re.compile("@" + _SKIP + _NAME + _NAME + r"\{" + _SKIP)
+# Group 1 is the event's whole text, the whitespace after it included.
 _EVENT_RE = re.compile(
-    "now" + _END_OF_WORD + _SKIP + r"(?:\+" + _SKIP + "([0-9]+)" + _SKIP + ")?"
-    + ">>" + _SKIP + _STATE + "=>" + _SKIP + _STATE
+    "(now" + _END_OF_WORD + _SKIP + r"(?:\+" + _SKIP + "([0-9]+)" + _SKIP + ")?"
+    + ">>" + _SKIP + _STATE + "=>" + _SKIP + _STATE + ")"
 )
 _TAIL_RE = re.compile(r"\}" + _SKIP + "=>" + _SKIP + _STATE)
 _END_RE = re.compile(r"\}" + _SKIP + r"\Z")
@@ -373,6 +377,8 @@ def _match(text: str) -> Contract | None:
     """The contract `_Parser` would build, before `validate`, or None where
     a production fails to match or a number is too long for `int()`: the
     token parser then decides, and reports the error."""
+    if "//" in text:
+        text = _COMMENT_RE.sub("", text)
     m = _HEADER_RE.match(text)
     if m is None:
         return None
@@ -380,25 +386,31 @@ def _match(text: str) -> Contract | None:
     pos = m.end()
     functions = []
     line, line_offset = 1, 0  # the line of offset line_offset
-    times: dict[str | None, TimeExpr] = {}  # one per delay text
+    times: dict[str, TimeExpr] = {}  # one per delay text
     while (m := _FUNCTION_RE.match(text, pos)) is not None:
         source, fname = m.groups()
         pos = m.end()
+        # No event contains `}`, so the body ends at the first one.
+        end = text.find("}", pos)
+        if end < 0:
+            return None
+        line += text.count("\n", line_offset, pos)
         body = []
-        while (m := _EVENT_RE.match(text, pos)) is not None:
-            start, pos = m.start(), m.end()
-            if text.find("\n", start, pos) < 0:  # the event must end its line
+        for event, delay, ev_source, ev_target in _EVENT_RE.findall(text, pos, end):
+            breaks = event.count("\n")
+            if not breaks:  # the event must end its line
                 return None
-            delay, ev_source, ev_target = m.groups()
             time = times.get(delay)
             if time is None:
                 try:
                     time = times[delay] = TimeExpr(int(delay) if delay else 0)
                 except ValueError:  # past the interpreter's int conversion limit
                     return None
-            line += text.count("\n", line_offset, start)
-            line_offset = start
             body.append(EventDecl(time, ev_source, ev_target, line))
+            line += breaks
+            pos += len(event)
+        line_offset = pos
+        # The body's `}` is at `pos` only if its events tile the body.
         m = _TAIL_RE.match(text, pos)
         if m is None:
             return None

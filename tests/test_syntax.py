@@ -416,7 +416,8 @@ def test_fast_path_parses_rendered_contracts(c):
 
 
 # ---------------------------------------------------------------------------
-# `_SKIP`: whitespace runs and comments between tokens
+# The fast path's pass: comments deleted first, whitespace runs as one `\s*`,
+# and each function body read by one `findall` up to its first `}`
 # ---------------------------------------------------------------------------
 
 SKIP_BASE = """stipula S {
@@ -436,10 +437,34 @@ SKIP_BASE = """stipula S {
 WHITESPACE = "\t\x0b\x0c\r\x1c\x85\xa0\u2003\u2028"
 
 
+# Comment text that would end a body, open one, start another comment, or
+# read as a function's tail or a whole event if the comment were not deleted
+# first.
+JUNK = ["}", "{", "//", "=> @X", "now >> @A => @B"]
+
+
+def body_comment_inputs() -> list[str]:
+    """Valid texts with a comment holding `JUNK` in each place of a body:
+    after its `{`, between two events, after the last event and between two
+    tokens of one event; and a body made only of comments."""
+    out = []
+    for junk in JUNK:
+        out += [
+            SKIP_BASE.replace("@Q0 f {", f"@Q0 f {{ // {junk}"),
+            SKIP_BASE.replace("@Q2\n    now", f"@Q2 // {junk}\n    now"),
+            SKIP_BASE.replace("@Q2\n    now", f"@Q2\n    // {junk}\n    now"),
+            SKIP_BASE.replace("@Q0\n  }", f"@Q0 // {junk}\n  }}"),
+            SKIP_BASE.replace("now >> @Q2", f"now >> // {junk}\n      @Q2"),
+        ]
+    out.append(SKIP_BASE.replace("@Q2 g { }", "@Q2 g { // }\n    // now >> @A => @B\n  }"))
+    return out
+
+
 def skip_inputs() -> list[str]:
     """Valid texts whose tokens are parted by unusual whitespace runs and
     comments."""
     return [
+        *body_comment_inputs(),
         *(SKIP_BASE.replace(" ", ws * 3) for ws in WHITESPACE),
         SKIP_BASE.replace(" ", WHITESPACE),
         SKIP_BASE.replace("\n", "\r\n"),
@@ -478,6 +503,11 @@ def skip_rejects() -> list[str]:
         SKIP_BASE.replace(" ", WHITESPACE).replace("}\n", "} }\n", 1),
         SKIP_BASE.replace("init Q0", "init" + " " * 200_000 + "Q0 }"),
         SKIP_BASE + " " * 200_000 + "}",
+        # A stray token between two events, and a last event followed by a
+        # lone `}` line before the function's own `} => @Q1`.
+        SKIP_BASE.replace("@Q2\n    now", "@Q2\n    x\n    now"),
+        SKIP_BASE.replace("@Q2\n    now", "@Q2\n    >>\n    now"),
+        SKIP_BASE.replace("@Q0\n  }", "@Q0\n  }\n  }"),
     ]
 
 
@@ -487,6 +517,20 @@ def test_skip_rejects_report_the_token_parsers_error():
         expected = _outcome(lambda t: syntax._Parser(t).contract(), text)
         assert not isinstance(expected, Contract), repr(text[:60])
         assert _outcome(mu.parse, text) == expected
+
+
+@given(contracts(), st.data())
+def test_fast_path_skips_junk_comments(c, data):
+    """A comment on any line, holding tokens a body reader could trip on,
+    changes nothing: no line is added, so the line-codes stay."""
+    lines = mu.render(c).split("\n")
+    for i in range(len(lines)):
+        if data.draw(st.booleans()):
+            lines[i] += " // " + data.draw(st.sampled_from(JUNK))
+    text = data.draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(syntax, "_Parser", _token_parser_forbidden)
+        assert mu.parse(text) == c
 
 
 def test_parse_builds_one_time_expr_per_delay_text(monkeypatch):
