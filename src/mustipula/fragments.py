@@ -53,5 +53,5 @@ def classify(contract: Contract) -> FragmentSet:
     return FragmentSet(
         instantaneous=delays <= {0},
         time_ahead=0 not in delays,
-        determinate=contract.init_ev.isdisjoint(contract.by_source),
+        determinate=contract.init_ev.isdisjoint([fn.source for fn in contract.functions]),
     )

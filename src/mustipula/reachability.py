@@ -78,15 +78,22 @@ class Verdict:
 
     @classmethod
     def reachable(cls, witness: Trace | None = None) -> "Verdict":
+        if witness is None:
+            return _REACHABLE
         return cls("reachable", witness=witness)
 
     @classmethod
     def unreachable(cls) -> "Verdict":
-        return cls("unreachable")
+        return _UNREACHABLE
 
     @classmethod
     def unknown(cls, detail: str | None = None) -> "Verdict":
         return cls("unknown", detail=detail)
+
+
+# Verdicts are immutable, so every witness-less one can be shared.
+_REACHABLE = Verdict("reachable")
+_UNREACHABLE = Verdict("unreachable")
 
 
 # ---------------------------------------------------------------------------

@@ -58,13 +58,19 @@ class PendingSet(tuple):
     def __new__(cls, events: Iterable[PendingEvent] = ()):
         return super().__new__(cls, sorted(events))
 
+    # An empty operand or result shares an existing set: a walk keeps every
+    # step's psi, so each new set is one more object for the collector.
     def union(self, other: Iterable[PendingEvent]) -> "PendingSet":
         if not other:
             return self
-        return PendingSet(tuple.__add__(self, tuple(other)))
+        if not self and type(other) is PendingSet:
+            return other
+        return _sorted(sorted(self + tuple(other)))
 
     def remove_one(self, event: PendingEvent) -> "PendingSet":
         i = self.index(event)
+        if len(self) == 1:
+            return EMPTY_PSI
         return _sorted(self[:i] + self[i + 1 :])
 
     def issubmultiset(self, other: "PendingSet") -> bool:
@@ -82,8 +88,8 @@ class PendingSet(tuple):
         return True
 
 
-def _sorted(events: tuple) -> PendingSet:
-    """Wrap a tuple that is already in canonical order, without sorting."""
+def _sorted(events: Iterable[PendingEvent]) -> PendingSet:
+    """Wrap events that are already in canonical order, without sorting."""
     return tuple.__new__(PendingSet, events)
 
 
@@ -201,10 +207,19 @@ def nored(psi: PendingSet, state: StateName) -> bool:
 def decrement(psi: PendingSet) -> PendingSet:
     """One tick's effect on the pending multiset: delay-0 events are
     garbage-collected, every other delay decreases by one.  Lowering every
-    remaining delay by one keeps the canonical order."""
-    return _sorted(
-        tuple([PendingEvent(ev.delay - 1, ev.line, ev.source, ev.target) for ev in psi if ev.delay])
-    )
+    remaining delay by one keeps the canonical order.  An empty result is
+    `EMPTY_PSI`."""
+    if not psi:
+        return psi
+    # `tuple.__new__` builds an event at about half the cost of the
+    # NamedTuple constructor.
+    new = tuple.__new__
+    lowered = [
+        new(PendingEvent, (delay - 1, line, source, target))
+        for delay, line, source, target in psi
+        if delay
+    ]
+    return _sorted(lowered) if lowered else EMPTY_PSI
 
 
 def lower(body: Iterable[EventDecl]) -> PendingSet:
@@ -228,29 +243,46 @@ def _enabled(
     """The enabled rule instances from (state, sigma, psi), unbuilt, in a
     fixed order: a non-empty sigma alone; else the firable events by
     line-code, which preempt the rest; else the functions leaving `state` in
-    declaration order, then `TICK` if the mode allows a tick."""
+    declaration order, then `TICK` if the mode allows a tick.  The options
+    when nothing fires are built once per contract, mode and state."""
     if sigma is not None:
         return (sigma,)
-    events = firable(psi, state)
-    if events:
-        return events
-    fns = contract.by_source.get(state, ())
+    if psi:
+        events = firable(psi, state)
+        if events:
+            return events
+    options = contract.idle[mode is Mode.TICK_PLUS].get(state)
+    if options is None:
+        options = _idle(contract, state, mode)
+    return options
+
+
+def _idle(contract: Contract, state: StateName, mode: Mode) -> tuple:
+    options = contract.by_source.get(state, ())
     if mode is Mode.TICK or state not in contract.init_ev:
-        return [*fns, TICK]
-    return fns
+        options = (*options, TICK)
+    contract.idle[mode is Mode.TICK_PLUS][state] = options
+    return options
 
 
-def _take(state: StateName, psi: PendingSet, option) -> Move:
-    """The move of one option of `_enabled`."""
+def _take(contract: Contract, state: StateName, psi: PendingSet, option) -> Move:
+    """The move of one option of `_enabled`.  A firing's label and
+    continuation are built once per contract and pending event."""
     if option is TICK:
         return (TICK, state, None, decrement(psi), 1)
     if isinstance(option, FunctionDecl):
         label, body = option.call
         return (label, state, body, psi, 0)
     if isinstance(option, PendingEvent):
-        return (Label("event", line=option.line), state, Body(EMPTY_PSI, option.target), psi.remove_one(option), 0)
+        label, body = contract.fires.get(option) or _fire(contract, option)
+        return (label, state, body, psi.remove_one(option), 0)
     body_events, target = option
     return (STATECHANGE, target, None, psi.union(body_events), 0)
+
+
+def _fire(contract: Contract, ev: PendingEvent) -> tuple[Label, Body]:
+    fire = contract.fires[ev] = (Label("event", line=ev.line), Body(EMPTY_PSI, ev.target))
+    return fire
 
 
 class _Events(dict):
@@ -385,7 +417,7 @@ def successors(cfg: Configuration, mode: Mode = Mode.TICK) -> list[tuple[Label, 
     contract, clock = cfg.contract, cfg.clock
     out = []
     for option in _enabled(contract, cfg.state, cfg.sigma, cfg.psi, mode):
-        label, state, sigma, psi, ticks = _take(cfg.state, cfg.psi, option)
+        label, state, sigma, psi, ticks = _take(contract, cfg.state, cfg.psi, option)
         out.append((label, Configuration(contract, state, sigma, psi, clock + ticks)))
     return out
 
@@ -429,15 +461,16 @@ def random_steps(
     successors with the given seed, and yield each step as it is taken.
     Deterministic in (contract, steps, seed, mode); stops early when no
     successor exists."""
-    rng = random.Random(seed)
+    choice = random.Random(seed).choice
+    new = tuple.__new__  # skips the NamedTuple constructor
     state, sigma, psi, clock = contract.init, None, EMPTY_PSI, 0
     for _ in range(steps):
         options = _enabled(contract, state, sigma, psi, mode)
         if not options:
             return
-        label, state, sigma, psi, ticks = _take(state, psi, rng.choice(options))
+        label, state, sigma, psi, ticks = _take(contract, state, psi, choice(options))
         clock += ticks
-        yield TraceStep(label, Configuration(contract, state, sigma, psi, clock))
+        yield new(TraceStep, (label, Configuration(contract, state, sigma, psi, clock)))
 
 
 def run_random(

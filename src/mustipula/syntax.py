@@ -89,8 +89,9 @@ class Contract:
     """A contract: name, initial state, and a sequence of function clauses.
 
     The cached properties below are facts derived from the clauses in one
-    pass on first use.  They are stored on the instance and take no part in
-    equality or hashing.
+    pass on first use, except `idle` and `fires`, which start empty and
+    which `semantics` fills as a walk needs them.  They are stored on the
+    instance and take no part in equality or hashing.
     """
 
     name: str
@@ -116,7 +117,20 @@ class Contract:
     @functools.cached_property
     def init_ev(self) -> frozenset[StateName]:
         """InitEv: the source states of all events."""
-        return frozenset(ev.source for ev in self.events())
+        return frozenset([ev.source for fn in self.functions for ev in fn.body])
+
+    @functools.cached_property
+    def idle(self) -> tuple[dict, dict]:
+        """Under tick and under tick-plus, per state, the options enabled
+        there when sigma is empty and no event fires; `semantics._enabled`
+        fills them on each state's first visit in that mode."""
+        return {}, {}
+
+    @functools.cached_property
+    def fires(self) -> dict:
+        """Per firable pending event, filled by `semantics._take` on its
+        first firing: the (Label, Body) pair of the firing."""
+        return {}
 
     def events(self) -> Iterator[EventDecl]:
         """All event declarations, in declaration order."""
@@ -170,12 +184,9 @@ def clause_ids(contract: Contract) -> frozenset[ClauseId]:
     return frozenset(ids)
 
 
-def validate(contract: Contract) -> Contract:
-    """Check the structural invariants, returning the contract unchanged.
-
-    Raises DuplicateClauseError when two functions share (source, name,
-    target) and InvalidContractError when event line-codes clash.
-    """
+def _check_functions(contract: Contract) -> Contract:
+    """Raise DuplicateClauseError when two functions share (source, name,
+    target); else return the contract."""
     seen_funs = set()
     for fn in contract.functions:
         key = (fn.source, fn.name, fn.target)
@@ -184,6 +195,16 @@ def validate(contract: Contract) -> Contract:
                 f"duplicate function clause {fn.source} {fn.name} {fn.target}"
             )
         seen_funs.add(key)
+    return contract
+
+
+def validate(contract: Contract) -> Contract:
+    """Check the structural invariants, returning the contract unchanged.
+
+    Raises DuplicateClauseError when two functions share (source, name,
+    target) and InvalidContractError when event line-codes clash.
+    """
+    _check_functions(contract)
     seen_lines = set()
     for ev in contract.events():
         if ev.line in seen_lines:
@@ -427,12 +448,15 @@ def parse(text: str) -> Contract:
     Line-codes are the physical source lines of the event declarations.
     Raises StipulaSyntaxError (with line/column), MultipleEventsPerLineError,
     or DuplicateClauseError.  Valid text is parsed by `_match`; text it
-    rejects goes to `_Parser`, which finds and reports the error.
+    rejects goes to `_Parser`, which finds and reports the error.  `_match`
+    gives each event a line-code greater than the one before, so of
+    `validate`'s checks only the one for duplicate functions can fail on
+    its result.
     """
     contract = _match(text)
     if contract is None:
         return _Parser(text).contract()
-    return validate(contract)
+    return _check_functions(contract)
 
 
 # ---------------------------------------------------------------------------

@@ -431,12 +431,15 @@ def test_explore_counts_what_each_limit_pruned():
     assert exploration.pruned == {"psi": 4, "clock": 0, "configs": 1}
 
 def test_unreachable_clauses_sample():
-    got = {ci.text(): v.status for ci, v in mu.unreachable_clauses(sample()).items()}
+    verdicts = mu.unreachable_clauses(sample())
+    got = {ci.text(): v.status for ci, v in verdicts.items()}
     assert got == {
         "Init f Run": "reachable",
         "Init g Go": "reachable",
         "Go ev_4 End": "unreachable",
     }
+    # The DI verdicts carry no witness, so equal ones are one shared value.
+    assert set(map(id, verdicts.values())) == {id(mu.Verdict.reachable()), id(mu.Verdict.unreachable())}
 
 
 def test_unreachable_clauses_expands_each_target_once(monkeypatch):

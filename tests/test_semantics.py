@@ -26,6 +26,7 @@ from helpers import (
     lively_contract,
     pingpong,
     reference_run_random,
+    reference_successors,
     replay_labels,
     sample,
     wf_configs,
@@ -169,13 +170,43 @@ def test_pingpong_pending_multiset_stays_small():
         assert all(len(step.config.psi) <= 1 for step in trace.steps)
 
 
+def assert_walk_agrees_with_reference(contract, steps, seed, mode):
+    """A full-length walk equal to the reference's, with `successors` equal
+    to the reference's at every configuration on it."""
+    got = mu.run_random(contract, steps, seed, mode)
+    assert len(got) == steps
+    assert mu.trace_json(got) == mu.trace_json(reference_run_random(contract, steps, seed, mode))
+    for cfg in [mu.initial_config(contract), *(step.config for step in got.steps)]:
+        assert mu.successors(cfg, mode) == reference_successors(cfg, mode)
+
+
 @pytest.mark.parametrize("mode, steps", [(Mode.TICK, 800), (Mode.TICK_PLUS, 250)])
 def test_long_walks_agree_with_reference(mode, steps):
     for seed in range(5):
-        contract = lively_contract(random.Random(seed))
-        got = mu.run_random(contract, steps, seed, mode)
-        assert len(got) == steps
-        assert mu.trace_json(got) == mu.trace_json(reference_run_random(contract, steps, seed, mode))
+        assert_walk_agrees_with_reference(lively_contract(random.Random(seed)), steps, seed, mode)
+
+
+def test_long_pingpong_walks_agree_with_reference():
+    for seed in range(3):
+        assert_walk_agrees_with_reference(pingpong(), 4000, seed, Mode.TICK)
+
+
+def test_walk_caches_belong_to_one_contract():
+    # The options per state and the moves per firing are built once per
+    # contract and kept apart per mode: a renamed copy, equal in every
+    # clause, builds its own, and a walk in one mode reads nothing that a
+    # walk in the other left behind.
+    a = lively_contract(random.Random(3))
+    b = dataclasses.replace(a, name="Renamed")
+    for mode, steps in ((Mode.TICK, 800), (Mode.TICK_PLUS, 250)):
+        expected = mu.trace_json(reference_run_random(a, steps, 5, mode))
+        walks = [mu.run_random(c, steps, 5, mode) for c in (a, b)]
+        assert [mu.trace_json(walk) for walk in walks] == [expected, expected]
+        assert all(step.config.contract is b for step in walks[1].steps)
+    assert a.idle == b.idle and a.fires == b.fires and a.fires
+    for cached_a, cached_b in ((a.idle[0], b.idle[0]), (a.idle[1], b.idle[1]), (a.fires, b.fires)):
+        assert cached_a and cached_a is not cached_b
+        assert all(cached_a[key] is not cached_b[key] for key in cached_a)
 
 
 def test_tickplus_walk_stops_where_nothing_is_enabled():

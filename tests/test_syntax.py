@@ -147,8 +147,12 @@ def test_trailing_junk_rejected():
         mu.parse("stipula E { init Q } extra")
 
 
-def test_duplicate_function_clause_rejected():
+def test_duplicate_function_clause_rejected(monkeypatch):
     src = "stipula E {\n  init Q\n  @Q f { } => @R\n  @Q f { } => @R\n}"
+    with pytest.raises(DuplicateClauseError):
+        syntax._Parser(src).contract()
+    # The fast path matches the text, and its own check rejects it.
+    monkeypatch.setattr(syntax, "_Parser", _token_parser_forbidden)
     with pytest.raises(DuplicateClauseError):
         mu.parse(src)
 
