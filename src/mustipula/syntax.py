@@ -89,9 +89,8 @@ class Contract:
     """A contract: name, initial state, and a sequence of function clauses.
 
     The cached properties below are facts derived from the clauses in one
-    pass on first use, except `idle` and `fires`, which start empty and
-    which `semantics` fills as a walk needs them.  They are stored on the
-    instance and take no part in equality or hashing.
+    pass on first use, except `memo`, which starts empty.  They are stored
+    on the instance and take no part in equality or hashing.
     """
 
     name: str
@@ -120,16 +119,9 @@ class Contract:
         return frozenset([ev.source for fn in self.functions for ev in fn.body])
 
     @functools.cached_property
-    def idle(self) -> tuple[dict, dict]:
-        """Under tick and under tick-plus, per state, the options enabled
-        there when sigma is empty and no event fires; `semantics._enabled`
-        fills them on each state's first visit in that mode."""
-        return {}, {}
-
-    @functools.cached_property
-    def fires(self) -> dict:
-        """Per firable pending event, filled by `semantics._take` on its
-        first firing: the (Label, Body) pair of the firing."""
+    def memo(self) -> dict:
+        """Scratch space that `semantics` lays out and fills as its walks
+        need it."""
         return {}
 
     def events(self) -> Iterator[EventDecl]:

@@ -1,6 +1,8 @@
 import copy
 import dataclasses
+import gc
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -59,6 +61,16 @@ def test_decrement_examples():
     assert mu.decrement(PendingSet([EV4_LATER])) == PendingSet([EV4])
     assert mu.decrement(PendingSet([EV4])) == EMPTY_PSI
     assert mu.decrement(EMPTY_PSI) == EMPTY_PSI
+
+
+def test_decrement_shares_events_through_its_memo():
+    later = PendingEvent(2, 7, "Q3", "Q0")
+    psi = PendingSet([EV4, EV4_LATER, EV4_LATER, later])
+    lowered = {}
+    once, again = mu.decrement(psi, lowered), mu.decrement(psi, lowered)
+    assert once == again == mu.decrement(psi) == PendingSet([EV4, EV4, later._replace(delay=1)])
+    assert all(a is b for a, b in zip(once, again))
+    assert lowered == {EV4_LATER: EV4, later: later._replace(delay=1)}
 
 
 def test_lower_examples():
@@ -203,10 +215,40 @@ def test_walk_caches_belong_to_one_contract():
         walks = [mu.run_random(c, steps, 5, mode) for c in (a, b)]
         assert [mu.trace_json(walk) for walk in walks] == [expected, expected]
         assert all(step.config.contract is b for step in walks[1].steps)
-    assert a.idle == b.idle and a.fires == b.fires and a.fires
-    for cached_a, cached_b in ((a.idle[0], b.idle[0]), (a.idle[1], b.idle[1]), (a.fires, b.fires)):
-        assert cached_a and cached_a is not cached_b
-        assert all(cached_a[key] is not cached_b[key] for key in cached_a)
+    pairs = [
+        (getattr(a.memo[mode], part), getattr(b.memo[mode], part))
+        for mode in Mode
+        for part in ("idle", "fires", "lowered")
+    ]
+    for cached_a, cached_b in pairs:
+        assert cached_a == cached_b and cached_a and cached_a is not cached_b
+        assert all(cached_a[key] is not cached_b[key] for key in cached_a if cached_a[key])
+    # An event declared with offset d is lowered from delays d, ..., 1 at
+    # most, so the shared events stay bounded however long the walk.
+    for mode in Mode:
+        assert len(a.memo[mode].lowered) <= sum(ev.time.offset for ev in a.events())
+    # A tick-plus state in InitEv has no tick among its options.
+    tickplus_idle = a.memo[Mode.TICK_PLUS].idle
+    assert all((semantics.TICK in tickplus_idle[q]) == (q not in a.init_ev) for q in tickplus_idle)
+
+
+def test_walk_caches_close_no_cycle():
+    # The memo holds no reference back to its contract, so a contract that
+    # was walked is freed as soon as it is dropped, with the collector off,
+    # as the CLI runs.
+    contract = pingpong()
+    for mode in Mode:
+        mu.run_random(contract, 200, 1, mode)
+    assert set(contract.memo) == set(Mode)
+    ref = weakref.ref(contract)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del contract
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_tickplus_walk_stops_where_nothing_is_enabled():
@@ -233,9 +275,9 @@ def test_walk_builds_only_the_move_it_takes(monkeypatch, contract, steps, mode):
     # decrements psi once per tick taken and never for a tick left untaken.
     calls = Counter()
 
-    def counting(psi):
+    def counting(psi, lowered=None):
         calls["decrement"] += 1
-        return mu.decrement(psi)
+        return mu.decrement(psi, lowered)
 
     monkeypatch.setattr(semantics, "decrement", counting)
     trace = mu.run_random(contract, steps, 5, mode)
