@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import json
 import os
 import sys
 
@@ -56,35 +55,33 @@ def _add_mode_flag(parser: argparse.ArgumentParser):
     parser.add_argument("--mode", choices=["tick", "tickplus"], default="tick")
 
 
-def _contract_payload(contract: syntax.Contract) -> dict:
-    return {
-        "name": contract.name,
-        "init": contract.init,
-        "functions": [
-            {
-                "source": fn.source,
-                "name": fn.name,
-                "target": fn.target,
-                "events": [
-                    {
-                        "delay": ev.time.offset,
-                        "line": ev.line,
-                        "source": ev.source,
-                        "target": ev.target,
-                    }
-                    for ev in fn.body
-                ],
-            }
-            for fn in contract.functions
-        ],
-    }
+def _contract_json(contract: syntax.Contract) -> str:
+    """The contract as compact JSON text: its name, init state and functions,
+    each with its events' delays, line-codes, sources and targets."""
+    quoted = semantics.Quoted()
+    functions = []
+    for fn in contract.functions:
+        events = ",".join(
+            [
+                f'{{"delay":{ev.time.offset},"line":{ev.line},'
+                f'"source":{quoted[ev.source]},"target":{quoted[ev.target]}}}'
+                for ev in fn.body
+            ]
+        )
+        functions.append(
+            f'{{"source":{quoted[fn.source]},"name":{quoted[fn.name]},'
+            f'"target":{quoted[fn.target]},"events":[{events}]}}'
+        )
+    return (
+        f'{{"name":{quoted[contract.name]},"init":{quoted[contract.init]},'
+        f'"functions":[{",".join(functions)}]}}'
+    )
 
 
 def _cmd_parse(args) -> int:
     contract = syntax.parse(_read(args.file))
     if args.json:
-        # The payload is a fresh tree of dicts and lists, so it has no cycle.
-        print(json.dumps(_contract_payload(contract), separators=(",", ":"), check_circular=False))
+        print(_contract_json(contract))
     else:
         sys.stdout.write(syntax.render(contract))
     return EXIT_OK
@@ -106,11 +103,12 @@ def _cmd_run(args) -> int:
     # Each step is printed as it is taken, so a long run holds one step at a
     # time; the JSON text is the same as `trace_json`'s.
     if args.json:
-        sys.stdout.write("[")
-        for i, step in enumerate(taken):
+        write = sys.stdout.write
+        write("[")
+        for i, text in enumerate(semantics.step_texts(taken, semantics.Quoted())):
             if i:
-                sys.stdout.write(",")
-            sys.stdout.write(json.dumps(semantics.step_payload(step), separators=(",", ":")))
+                write(",")
+            write(text)
         print("]")
     else:
         for step in taken:
@@ -158,10 +156,7 @@ def _cmd_unreachable(args) -> int:
         verdicts.items(), key=lambda item: (item[0].kind, item[0].label, item[0].source)
     )
     if args.json:
-        payload = [
-            reachability.verdict_payload(clause, verdict) for clause, verdict in ordered
-        ]
-        print(json.dumps(payload, separators=(",", ":")))
+        print(reachability.verdicts_json(ordered))
     else:
         for clause, verdict in ordered:
             print(f"{clause.text()}: {verdict.status}")

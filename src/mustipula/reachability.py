@@ -39,10 +39,12 @@ from .semantics import (
     Mode,
     PendingEvent,
     PendingSet,
+    Quoted,
     StepTable,
     Trace,
     TraceStep,
     initial_config,
+    step_texts,
     trace_payload,
 )
 # Kept importable: perfbench/tracer.py wraps `reachability.successors`.
@@ -623,3 +625,16 @@ def verdict_payload(clause: ClauseId, verdict: Verdict) -> dict:
     if verdict.witness is not None:
         out["witness"] = trace_payload(verdict.witness)
     return out
+
+
+def verdicts_json(verdicts: Iterable[tuple[ClauseId, Verdict]]) -> str:
+    """The JSON text of the list of `verdict_payload`s of `verdicts`, in
+    order, compact, written in one pass without the payloads."""
+    quoted = Quoted()
+    texts = []
+    for clause, verdict in verdicts:
+        text = f'{{"clause":{quoted[clause.text()]},"verdict":{quoted[verdict.status]}'
+        if verdict.witness is not None:
+            text += ',"witness":[' + ",".join(step_texts(verdict.witness.steps, quoted)) + "]"
+        texts.append(text + "}")
+    return "[" + ",".join(texts) + "]"

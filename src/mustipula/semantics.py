@@ -545,6 +545,39 @@ def trace_payload(trace: Trace) -> list:
     return [step_payload(step) for step in trace.steps]
 
 
+class Quoted(dict):
+    """The JSON text of each value looked up, from `json.dumps` on its first
+    lookup.  The text writers keep one per output, so each distinct name is
+    encoded once and nothing outlives the output."""
+
+    def __missing__(self, value) -> str:
+        text = self[value] = json.dumps(value)
+        return text
+
+
+def _psi_text(psi: PendingSet, quoted: Quoted) -> str:
+    if not psi:
+        return "[]"
+    return "[" + ",".join([f"[{d},{n},{quoted[s]},{quoted[t]}]" for d, n, s, t in psi]) + "]"
+
+
+def step_texts(steps: Iterable[TraceStep], quoted: Quoted) -> Iterator[str]:
+    """The JSON text of each step, as `json.dumps(step_payload(step),
+    separators=(",", ":"))` writes it, built without the payload."""
+    for label, cfg in steps:
+        sigma = cfg.sigma
+        sigma_text = (
+            "null"
+            if sigma is None
+            else f'{{"events":{_psi_text(sigma.events, quoted)},"target":{quoted[sigma.target]}}}'
+        )
+        yield (
+            f'{{"label":{quoted[label.text()]},"state":{quoted[cfg.state]},'
+            f'"sigma":{sigma_text},"psi":{_psi_text(cfg.psi, quoted)},"clock":{cfg.clock}}}'
+        )
+
+
 def trace_json(trace: Trace) -> str:
-    """Canonical JSON text for a trace (stable key order, compact)."""
-    return json.dumps(trace_payload(trace), separators=(",", ":"))
+    """Canonical JSON text for a trace (stable key order, compact): the text
+    of `trace_payload`, written in one pass."""
+    return "[" + ",".join(step_texts(trace.steps, Quoted())) + "]"

@@ -93,6 +93,50 @@ def replay_labels(contract: Contract, labels, mode=mu.Mode.TICK) -> mu.Trace:
     return mu.Trace(tuple(steps))
 
 
+def contract_payload(contract: Contract) -> dict:
+    """The tree that `parse --json` writes as text: the reference for
+    `cli._contract_json`."""
+    return {
+        "name": contract.name,
+        "init": contract.init,
+        "functions": [
+            {
+                "source": fn.source,
+                "name": fn.name,
+                "target": fn.target,
+                "events": [
+                    {
+                        "delay": ev.time.offset,
+                        "line": ev.line,
+                        "source": ev.source,
+                        "target": ev.target,
+                    }
+                    for ev in fn.body
+                ],
+            }
+            for fn in contract.functions
+        ],
+    }
+
+
+def odd_names() -> Contract:
+    """A contract built in code whose names need JSON escapes: a quote, a
+    backslash, control characters, a non-ASCII letter and one outside the
+    Basic Multilingual Plane.  Its delays make it non-DI, and both modes
+    can run it for ever."""
+    a, b, c, d = 'Q"0', "Q\\1", "Q\x07\n2", "Q\u00e9\U0001d514"
+    return Contract(
+        'Odd "C" \\ \x01 \u00e9',
+        a,
+        (
+            FunctionDecl(a, 'f"1', (EventDecl(TimeExpr(0), b, c, 4), EventDecl(TimeExpr(2), a, d, 5)), b),
+            FunctionDecl(b, "g\\\u00e9", (), c),
+            FunctionDecl(c, "h\x01", (EventDecl(TimeExpr(1), d, a, 9),), d),
+            FunctionDecl(d, "k", (), a),
+        ),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Seeded corpus of determinate-instantaneous contracts
 # ---------------------------------------------------------------------------

@@ -10,10 +10,18 @@ import tracemalloc
 
 import pytest
 
+import mustipula as mu
 from mustipula import cli, parse, render, run_random, trace_json
 from mustipula.cli import main
+from mustipula.reachability import verdict_payload, verdicts_json
+from mustipula.semantics import (
+    Body, Configuration, Label, PendingEvent, PendingSet, Quoted, Trace, TraceStep,
+    step_payload, step_texts, trace_payload,
+)
 
-from helpers import CHAIN, MACHINES, PINGPONG, SAMPLE
+from helpers import (
+    CHAIN, EMPTY, MACHINES, PINGPONG, SAMPLE, contract_payload, inc_chain, odd_names,
+)
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -382,3 +390,87 @@ def test_byte_order_mark_keeps_error_columns(tmp_path, capsys):
         assert capsys.readouterr().err == (
             "error: expected a contract name, found '{' (line 1, column 9)\n"
         )
+
+
+# ---------------------------------------------------------------------------
+# JSON writers: each writes the bytes of `json.dumps` of its payload
+# ---------------------------------------------------------------------------
+
+
+def compact(payload) -> str:
+    return json.dumps(payload, separators=(",", ":"))
+
+
+def writer_contracts() -> dict:
+    contracts = {
+        name: parse(text)
+        for name, text in (("pingpong", PINGPONG), ("sample", SAMPLE), ("chain", CHAIN), ("empty", EMPTY))
+    }
+    for fragment in ("i", "ta", "d"):
+        for n in (1, 12):
+            contracts[f"{fragment}{n}"] = mu.encode(inc_chain(n), fragment)
+    contracts["odd"] = odd_names()
+    return contracts
+
+
+def test_contract_writer_matches_its_payload(tmp_path, capsys):
+    for name, contract in writer_contracts().items():
+        assert cli._contract_json(contract) == compact(contract_payload(contract)), name
+        if name == "odd":  # its names are not identifiers, so it has no text
+            continue
+        path = tmp_path / f"{name}.stipula"
+        path.write_text(render(contract))
+        assert main(["parse", str(path), "--json"]) == 0
+        assert capsys.readouterr().out == compact(contract_payload(parse(render(contract)))) + "\n"
+
+
+def test_step_writer_matches_its_payload():
+    odd = odd_names()
+    big = PendingSet([PendingEvent(300, 10**20, "\u00e9", "\\"), PendingEvent(0, 4, 'Q"0', "Q\x07\n2")])
+    traces = [
+        Trace(()),
+        Trace((TraceStep(Label("call", name='x"\\'), Configuration(odd, 'Q"0', Body(big, "t"), big, 10**30)),)),
+    ]
+    for contract in (parse(PINGPONG), odd):
+        for mode in mu.Mode:
+            for seed in (0, 1):
+                traces.append(run_random(contract, 1500, seed, mode))
+    seen = set()
+    for trace in traces:
+        assert trace_json(trace) == compact(trace_payload(trace))
+        assert list(step_texts(trace.steps, Quoted())) == [compact(step_payload(s)) for s in trace.steps]
+        for label, cfg in trace.steps:
+            text = label.text()
+            escaped = json.dumps(text) != '"' + text + '"'
+            seen.add("sigma None" if cfg.sigma is None else f"sigma events {bool(cfg.sigma.events)}")
+            seen.add(f"psi {bool(cfg.psi)}")
+            seen.add(f"clock above 256 {cfg.clock > 256}")
+            seen.add(f"escaped label {escaped}")
+    assert trace_json(Trace(())) == "[]"
+    assert seen == {
+        "sigma None", "sigma events False", "sigma events True", "psi False", "psi True",
+        "clock above 256 False", "clock above 256 True", "escaped label False", "escaped label True",
+    }
+
+
+def test_verdict_writer_matches_its_payload(tmp_path, capsys):
+    limits = mu.ExplorationLimits(20_000, 200, 6)
+    cases = [(parse(PINGPONG), mode) for mode in mu.Mode] + [(parse(SAMPLE), mu.Mode.TICK), (odd_names(), mu.Mode.TICK)]
+    cases += [(mu.encode(inc_chain(3), fragment), mu.Mode.TICK) for fragment in ("i", "ta", "d")]
+    seen = set()
+    for contract, mode in cases:
+        verdicts = list(mu.unreachable_clauses(contract, limits, mode).items())
+        assert verdicts_json(verdicts) == compact([verdict_payload(c, v) for c, v in verdicts]), contract.name
+        seen |= {(v.status, v.witness is not None) for _, v in verdicts}
+    assert verdicts_json([]) == "[]"
+    assert seen == {("reachable", True), ("reachable", False), ("unreachable", False), ("unknown", False)}
+    # The CLI writes its sorted verdicts with the same writer.
+    for text in (PINGPONG, SAMPLE):
+        path = tmp_path / "c.stipula"
+        path.write_text(text)
+        main(["unreachable", str(path), "--json"])
+        verdicts = sorted(
+            mu.unreachable_clauses(parse(text)).items(),
+            key=lambda item: (item[0].kind, item[0].label, item[0].source),
+        )
+        assert capsys.readouterr().out == compact([verdict_payload(c, v) for c, v in verdicts]) + "\n"
