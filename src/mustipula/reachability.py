@@ -40,6 +40,7 @@ from .semantics import (
     PendingEvent,
     PendingSet,
     Quoted,
+    STATECHANGE,
     StepTable,
     Trace,
     TraceStep,
@@ -68,7 +69,7 @@ class ExplorationLimits:
             raise ValueError("exploration limits must be strictly positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Verdict:
     """Outcome of a reachability question.  Unreachable is only ever
     produced by the complete DI procedure; bounded search degrades to
@@ -77,6 +78,13 @@ class Verdict:
     status: str  # "reachable" | "unreachable" | "unknown"
     witness: Trace | None = None
     detail: str | None = None
+
+    # Filled through the slots' descriptors, as semantics.Configuration is:
+    # the forward fallback builds one per clause.
+    def __init__(self, status, witness=None, detail=None):
+        _set_status(self, status)
+        _set_witness(self, witness)
+        _set_detail(self, detail)
 
     @classmethod
     def reachable(cls, witness: Trace | None = None) -> "Verdict":
@@ -92,6 +100,10 @@ class Verdict:
     def unknown(cls, detail: str | None = None) -> "Verdict":
         return cls("unknown", detail=detail)
 
+
+_set_status, _set_witness, _set_detail = (
+    Verdict.__dict__[name].__set__ for name in ("status", "witness", "detail")
+)
 
 # Verdicts are immutable, so every witness-less one can be shared.
 _REACHABLE = Verdict("reachable")
@@ -396,13 +408,15 @@ def _fire_target(contract: Contract, ev: EventDecl) -> Configuration:
 class Exploration:
     """Result of a breadth-first forward search over the configuration graph
     up to clocks.  Node i is the configuration (state, sigma, psi) kept as
-    `packed[i]` in the ids of `table`, with clock `clocks[i]`, the ticks
+    `packed[i]` in the ids of `table`, psi a tuple or an int as the table
+    encodes it (`table.size` counts it), with clock `clocks[i]`, the ticks
     along its path in the BFS tree `parents`.  `complete` means no cap
     pruned anything, so the nodes are the entire reachable quotient space.
 
     `configs`, `config` and `path` decode on demand, each node at most once:
     they share one configuration per node, and `path` keeps each node's
-    tree link `(parent, TraceStep)`, so paths share their prefixes.
+    tree link `(parent, TraceStep)`, so paths share their prefixes, and the
+    path of each node asked for or branched off from.
     `pruned` counts, per limit, the steps to unvisited configurations that
     the limit turned away."""
 
@@ -414,13 +428,22 @@ class Exploration:
     complete: bool = False
     limit_hit: str | None = None
     pruned: dict[str, int] = field(default_factory=lambda: {"psi": 0, "clock": 0, "configs": 0})
-    # Node -> its configuration, and node -> (parent, TraceStep), as decoded.
+    # Node -> its configuration, node -> (parent, TraceStep), as decoded,
+    # and node -> its path, as `path` builds them.
     _nodes: dict[int, Configuration] = field(default_factory=dict, init=False, repr=False, compare=False)
     _links: dict[int, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _paths: dict[int, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @functools.cached_property
     def configs(self) -> list[Configuration]:
-        """Every node as a configuration, built on first access."""
+        """Every node as a configuration, built on first access.  A node is
+        decoded after its parent's psi, from which a packed table derives
+        its own (see `path`)."""
+        if self.table.derives:
+            for node in range(1, len(self.packed)):
+                if node not in self._nodes:
+                    self.table.pending(self.packed[self.parents[node][0]][2])
+                    self.config(node)
         return list(map(self.config, range(len(self.packed))))
 
     def config(self, node: int) -> Configuration:
@@ -440,17 +463,36 @@ class Exploration:
     def path(self, node: int) -> tuple[TraceStep, ...]:
         """The steps of the tree path from the start configuration to
         `node`: a run of the rules, with true clocks."""
-        links, parents = self._links, self.parents
-        steps = []
-        while parents[node] is not None:
-            link = links.get(node)
-            if link is None:
-                parent, label = parents[node]
-                link = links[node] = (parent, TraceStep(label, self.config(node)))
-            node, step = link
+        out = self._paths.get(node)
+        if out is not None:
+            return out
+        links, parents, paths = self._links, self.parents, self._paths
+        # Link the nodes up to the first one linked, from the top down, each
+        # decoded after its parent, the first after the top: a packed table
+        # derives a psi from the one it decoded last.
+        unlinked, top = [], node
+        while parents[top] is not None and top not in links:
+            unlinked.append(top)
+            top = parents[top][0]
+        if unlinked and self.table.derives:
+            self.table.pending(self.packed[top][2])
+        new_step, steps = tuple.__new__, []
+        for child in reversed(unlinked):
+            parent, label = parents[child]
+            step = new_step(TraceStep, (label, self.config(child)))
+            links[child] = (parent, step)
             steps.append(step)
-        steps.reverse()
-        return tuple(steps)
+        # The top's own path, kept where a later path may branch off again.
+        prefix = paths.get(top)
+        if prefix is None:
+            above, up = [], top
+            while parents[up] is not None:
+                up, step = links[up]
+                above.append(step)
+            above.reverse()
+            prefix = paths[top] = tuple(above)
+        out = paths[node] = prefix + tuple(steps)
+        return out
 
 
 def explore(
@@ -470,49 +512,60 @@ def explore(
     `target_state` is given and some visited configuration has that state
     with an empty continuation, its node.
 
-    The search steps on a `StepTable` built for this contract, start and
-    mode."""
+    The search steps on `StepTable.for_search` of this contract, start,
+    mode and psi cap."""
     start = start if start is not None else initial_config(contract)
-    table = StepTable(contract, start, mode)
+    max_configs, max_clock, max_psi = limits.max_configs, limits.max_clock, limits.max_psi
+    table = StepTable.for_search(contract, start, mode, max_psi)
     exploration = Exploration(table, [table.start], [0], [None], [])
     if target_state == start.state and start.sigma is None:
         return exploration, 0
     packed, clocks = exploration.packed, exploration.clocks
     parents, edges, pruned = exploration.parents, exploration.edges, exploration.pruned
-    max_configs, max_clock, max_psi = limits.max_configs, limits.max_clock, limits.max_psi
-    step = table.moves
+    step, size = table.moves, table.size
+    # Only a state change adds to psi: a call keeps it, a firing or a tick
+    # shrinks it.  So the psi cap can turn away only a state change, or any
+    # step from a start that is already over the cap.
+    check_all = size(table.start[2]) > max_psi
     index = {table.start: 0}
+    lookup = index.setdefault
     queue = deque([0])
     while queue:
         node = queue.popleft()
         clock = clocks[node]
         for label, key, ticks in step(*packed[node]):
-            known = index.get(key)
-            if known is not None:
+            # One lookup either finds the key or enters it; a pruned key is
+            # taken out again.
+            child = len(packed)
+            known = lookup(key, child)
+            if known != child:
                 if record_edges:
                     edges.append((node, label, known))
                 continue
-            if len(key[2]) > max_psi:
+            if (label is STATECHANGE or check_all) and size(key[2]) > max_psi:
+                del index[key]
                 exploration.limit_hit = "psi"
                 pruned["psi"] += 1
                 continue
-            if clock + ticks > max_clock:
+            reached = clock + ticks
+            if reached > max_clock:
+                del index[key]
                 exploration.limit_hit = "clock"
                 pruned["clock"] += 1
                 continue
-            if len(packed) >= max_configs:
+            if child >= max_configs:
                 exploration.limit_hit = "configs"
                 pruned["configs"] += 1
                 return exploration, None
-            child = index[key] = len(packed)
             packed.append(key)
-            clocks.append(clock + ticks)
+            clocks.append(reached)
             parents.append((node, label))
             if record_edges:
                 edges.append((node, label, child))
             if key[0] == target_state and key[1] is None:
                 return exploration, child
             queue.append(child)
+        check_all = False
     exploration.complete = exploration.limit_hit is None
     return exploration, None
 
@@ -605,12 +658,13 @@ def unreachable_clauses(
         if edge is None:
             return Verdict.unknown(exploration.limit_hit)
         node, label, child = edge
+        steps = exploration.path(node)
         # A call or event step keeps the clock; clocks[child] may be the
         # clock of another path.
         cfg = exploration.config(child)
         if cfg.clock != clocks[node]:
             cfg = Configuration(contract, cfg.state, cfg.sigma, cfg.psi, clocks[node])
-        return Verdict.reachable(Trace(exploration.path(node) + (TraceStep(label, cfg),)))
+        return Verdict.reachable(Trace(steps + (tuple.__new__(TraceStep, (label, cfg)),)))
 
     for fn in contract.functions:
         verdicts[ClauseId.of_function(fn)] = witnessed(first_use.get((fn.source, fn.name, fn.target)))

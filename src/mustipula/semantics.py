@@ -32,7 +32,10 @@ from __future__ import annotations
 import enum
 import json
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .syntax import Contract, EventDecl, FunctionDecl, StateName
@@ -189,12 +192,21 @@ def firable(psi: PendingSet, state: StateName) -> list[PendingEvent]:
     """The distinct pending events firable at `state` (delay 0, source
     `state`), by line-code.  Psi is sorted, so they lie in its delay-0
     prefix in line order, with equal copies adjacent."""
-    out = []
+    return _firable(psi, state) or []
+
+
+def _firable(psi: PendingSet, state: StateName) -> list[PendingEvent] | None:
+    """`firable`, but None when nothing fires, so that a walk builds no
+    list on the steps where nothing does."""
+    out = None
     for ev in psi:
         if ev.delay:
             break
-        if ev.source == state and (not out or out[-1] != ev):
-            out.append(ev)
+        if ev.source == state:
+            if out is None:
+                out = [ev]
+            elif out[-1] != ev:
+                out.append(ev)
     return out
 
 
@@ -289,8 +301,8 @@ def _enabled(rules: _Rules, state: StateName, sigma: Continuation, psi: PendingS
     if sigma is not None:
         return (sigma,)
     if psi:
-        events = firable(psi, state)
-        if events:
+        events = _firable(psi, state)
+        if events is not None:
             return events
     options = rules.idle.get(state)
     if options is None:
@@ -323,57 +335,97 @@ class _Events(dict):
 
     def __missing__(self, e: int) -> PendingEvent:
         delay, shape = divmod(e, self.K)
-        ev = self[e] = PendingEvent(delay, *self.shapes[shape])
+        # `tuple.__new__` skips the NamedTuple constructor, as in `decrement`.
+        ev = self[e] = tuple.__new__(PendingEvent, (delay, *self.shapes[shape]))
         return ev
 
 
 class StepTable:
     """The rules for one forward search, over interned ids, compiled from
-    the contract, the search's start configuration and its mode.
+    the contract, the search's start configuration and its mode.  Build it
+    with `for_search`, which picks the encoding of psi.
 
     A state is its name.  A continuation is an int interned on its value
     `(body, target)`, so equal continuations share one id however they
-    arise; the empty continuation is None.  A pending event is the int
-    `delay * K + shape`, where `shape` numbers the distinct (line, source,
-    target) triples of the contract's and the start's events in sorted
-    order, and psi is a sorted tuple of those ints: packed order is
-    `PendingSet` order.  A tick subtracts K from every entry and drops those
-    below K; the firable events are the entries below K whose source is the
-    current state.  `start` is the start configuration's packed key.
+    arise; the empty continuation is None.  Shapes number the distinct
+    (line, source, target) triples of the contract's and the start's events
+    in sorted order.  Here psi is a sorted tuple of the ints `delay * K +
+    shape`, so packed order is `PendingSet` order.  A tick subtracts K from
+    every entry and drops those below K; the firable events are the entries
+    below K whose source is the current state.  `PackedStepTable` keeps psi
+    as one int instead.  `start` is the start configuration's packed key,
+    and `size(psi)` is the number of pending events in a packed psi.
 
     Shapes are numbered in one pass, so K is fixed when the table is built.
     Continuations are interned as they are met; a shape's label and fire
     continuation, and a state's calls and tick permission, on first use."""
 
-    def __init__(self, contract: Contract, start: Configuration, mode: Mode):
+    # Packed psi has at most this many one-byte count fields; the largest
+    # `forward_reach` table, TA `inc_chain(12)`, has 144.
+    PACKED_FIELDS = 256
+
+    @staticmethod
+    def for_search(contract: Contract, start: Configuration, mode: Mode, max_psi: int) -> "StepTable":
+        """The table of a search from `start` whose psi cap is `max_psi`.
+        Psi is one int of one-byte count fields (`PackedStepTable`) when
+        every delay of the contract's and the start's events is 0 (I) or
+        every one is positive (TA), no count can reach 255, and the fields
+        number at most `PACKED_FIELDS`; a sorted tuple otherwise.  Mixed
+        delays (D) need a field per shape and delay but hold few pending
+        events: packed, the D encodings of inc_chain(3..10) searched
+        1.2-1.6x slower."""
+        own = start.psi if start.sigma is None else start.psi + start.sigma.events
+        pairs = [((ev.line, ev.source, ev.target), ev.time.offset) for ev in contract.events()]
+        pairs += [(ev[1:], ev.delay) for ev in own]
+        delays = {delay for _, delay in pairs}
+        if delays <= {0} or 0 not in delays:
+            # Only a state change adds to psi, at most the longest body, and
+            # the search admits no psi over the cap but its start's.
+            longest = max([len(fn.body) for fn in contract.functions], default=0)
+            if start.sigma is not None:
+                longest = max(longest, len(start.sigma.events))
+            # Each shape's largest delay: the pairs by delay, the last wins.
+            depth = dict(sorted(pairs, key=itemgetter(1)) if len(delays) > 1 else pairs)
+            fits = max(max_psi, len(start.psi)) + longest < PackedStepTable.FULL
+            if fits and len(depth) + sum(depth.values()) <= StepTable.PACKED_FIELDS:
+                return PackedStepTable(contract, start, mode, depth)
+        return StepTable(contract, start, mode, {shape for shape, _ in pairs})
+
+    def __init__(self, contract: Contract, start: Configuration, mode: Mode, shapes: Iterable[tuple]):
         self.contract = contract
         self.mode = mode
         self.sigma_ids: dict[tuple, int] = {}
         self.sigmas: list[Body] = []  # id -> the continuation it stands for
-        self.sigma_parts: list[tuple[StateName, tuple]] = []  # id -> (target, body)
-        self._calls: dict = {}  # state -> (call moves, whether it may tick)
-        self._psis: dict[tuple, PendingSet] = {}  # packed psi -> decoded
-        shapes = {(ev.line, ev.source, ev.target) for ev in contract.events()}
-        own = start.psi if start.sigma is None else start.psi + start.sigma.events
-        shapes.update(ev[1:] for ev in own)
+        self.sigma_parts: list[tuple] = []  # id -> (target, body)
+        self._calls: dict = {}  # state -> its compiled moves
+        self._psis: dict = {}  # packed psi -> decoded
         self.shapes = sorted(shapes)
-        self.shape_ids = {shape: i for i, shape in enumerate(self.shapes)}
+        self.shape_ids = dict(zip(self.shapes, range(len(self.shapes))))
         self.K = max(1, len(self.shapes))
         self._events = _Events(self.K, self.shapes)
-        self.shape_source = [source for _, source, _ in self.shapes]
         self._fires: list = [None] * len(self.shapes)  # shape -> (label, continuation)
+        self._lay_out()
+        sigma = None if start.sigma is None else self.sigma(start.sigma)
+        self.start = (start.state, sigma, self.pack(start.psi))
+
+    def _lay_out(self):
+        self.shape_source = [source for _, source, _ in self.shapes]
         # Firable events sort as their label texts do (`ev:10` before
         # `ev:9`), ties in shape order.
         self.shape_rank = [(f"ev:{line}", i) for i, (line, _, _) in enumerate(self.shapes)]
-        sigma = None if start.sigma is None else self.sigma(start.sigma)
-        self.start = (start.state, sigma, self.pack(start.psi))
 
     def pack(self, psi: Iterable[PendingEvent]) -> tuple[int, ...]:
         K, ids = self.K, self.shape_ids
         return tuple(sorted(ev.delay * K + ids[ev[1:]] for ev in psi))
 
+    size = len  # of a packed psi
+    NOTHING = ()  # the empty psi, packed
+    # Whether `pending` derives a psi from the one it decoded last, so that
+    # decoding a node's parent first pays.
+    derives = False
+
     def sigma(self, body: Body) -> int:
-        parts = (body.target, self.pack(body.events))
+        parts = (body.target, self.pack(body.events) if body.events else self.NOTHING)
         sid = self.sigma_ids.get(parts)
         if sid is None:
             sid = self.sigma_ids[parts] = len(self.sigmas)
@@ -403,7 +455,7 @@ class StepTable:
 
     def _fire(self, shape: int) -> tuple[Label, int]:
         line, _, target = self.shapes[shape]
-        fire = self._fires[shape] = (Label("event", line=line), self.sigma(Body(EMPTY_PSI, target)))
+        fire = self._fires[shape] = (Label("event", None, line), self.sigma(Body(EMPTY_PSI, target)))
         return fire
 
     def moves(self, state: StateName, sigma: int | None, psi: tuple) -> list:
@@ -433,6 +485,136 @@ class StepTable:
         out = [(label, (state, sid, psi), 0) for label, sid in calls]
         if ticks:
             out.append((TICK, (state, None, tuple([e - K for e in psi if e >= K])), 1))
+        return out
+
+
+class PackedStepTable(StepTable):
+    """A `StepTable` whose psi is one int of one-byte count fields.  Each
+    shape owns one field per delay from 0 up to its largest delay in the
+    contract or the start, the delays of one shape side by side, so a
+    firing subtracts a unit, a state change adds the packed body, and a tick
+    is `(psi >> 8) & keep`, where `keep` clears each shape's top field,
+    which receives the next shape's delay-0 count.  `for_search` admits a
+    table only if no count can reach 255, so `psi % 255` is |psi|.  Each
+    state's firable test is one mask, and the shapes that fire there are
+    ranked when it first fires.  Decoding goes through the tuple encoding:
+    a psi's codes are derived from those of the psi decoded last, where one
+    rule leads from that one to this one, so paths decode from the top."""
+
+    FULL = 255
+    NOTHING = 0
+    derives = True
+
+    def __init__(self, contract: Contract, start: Configuration, mode: Mode, depth: dict[tuple, int]):
+        self.depth = depth  # shape -> its largest delay
+        super().__init__(contract, start, mode, depth)
+
+    def _lay_out(self):
+        shapes = self.shapes
+        depths = list(map(self.depth.__getitem__, shapes))
+        self.bases = list(accumulate([8 * d + 8 for d in depths], initial=0))  # shape -> its delay-0 bit
+        self.fields = self.bases.pop() // 8
+        self.keep = int.from_bytes(b"".join([b"\xff" * d + b"\0" for d in depths]), "little") if any(depths) else 0
+        # State -> the shapes with that source, and the mask of their
+        # delay-0 fields: its firable test.
+        self.by_source: dict[StateName, list[int]] = {}
+        self.masks: dict[StateName, int] = {}
+        for i, (_, source, _) in enumerate(shapes):
+            self.by_source.setdefault(source, []).append(i)
+            self.masks[source] = self.masks.get(source, 0) | self.FULL << self.bases[i]
+        self._ranked: dict[StateName, tuple] = {}  # state -> `_rank(state)`
+        self._fired: dict[int, int] = {}  # the unit a ranked firing takes -> its shape
+        # Decoding goes through the tuple encoding's codes: packed psi ->
+        # (codes, events), and packed body -> its events, or its codes once
+        # a decoding has used them.
+        self._decoded: dict[int, tuple] = {0: ((), EMPTY_PSI)}
+        self._bodies: dict[int, tuple] = {}
+        self._last, self._last_known = 0, self._decoded[0]  # the psi decoded last
+
+    def pack(self, psi: Iterable[PendingEvent]) -> int:
+        bases, ids = self.bases, self.shape_ids
+        return sum([1 << (bases[ids[ev[1:]]] + 8 * ev.delay) for ev in psi])
+
+    def size(self, psi: int) -> int:
+        return psi % self.FULL
+
+    def sigma(self, body: Body) -> int:
+        sid = super().sigma(body)
+        self._bodies[self.sigma_parts[sid][1]] = body.events
+        return sid
+
+    def pending(self, psi: int) -> PendingSet:
+        known = self._decoded.get(psi)
+        if known is None:
+            known = self._decoded[psi] = self._derived(psi) or self._read(psi)
+        self._last, self._last_known = psi, known
+        return known[1]
+
+    def _derived(self, psi: int) -> tuple | None:
+        """Psi's (codes, events) from those of the psi decoded last, where a
+        firing, a tick or a state change leads from that one to this one, by
+        the tuple encoding's rules.  No count reaches 255, so these int
+        relations hold exactly when the multiset ones do."""
+        last, (codes, events) = self._last, self._last_known
+        fewer = last - psi
+        if fewer > 0:
+            shape = self._fired.get(fewer)
+            if shape is not None:  # codes and events line up: both lose one
+                i = codes.index(shape)
+                return codes[:i] + codes[i + 1 :], _sorted(events[:i] + events[i + 1 :])
+            if psi != (last >> 8) & self.keep:
+                return None
+            K = self.K
+            codes = tuple([c - K for c in codes if c >= K])
+        else:
+            body = self._bodies.get(-fewer)
+            if body is None:
+                return None
+            if type(body) is PendingSet:  # its codes, on first use
+                body = self._bodies[-fewer] = StepTable.pack(self, body)
+            codes = tuple(sorted(codes + body))
+        return codes, _sorted(map(self._events.__getitem__, codes))
+
+    def _read(self, psi: int) -> tuple:
+        """Psi's (codes, events) read off its nonzero fields."""
+        bases, codes, rest = self.bases, [], psi
+        while rest:
+            bit = (rest & -rest).bit_length() - 1 & ~7  # the field's lowest bit
+            count = rest >> bit & self.FULL
+            shape = bisect_right(bases, bit) - 1
+            codes += [(bit - bases[shape] >> 3) * self.K + shape] * count
+            rest -= count << bit
+        codes.sort()
+        return tuple(codes), _sorted(map(self._events.__getitem__, codes))
+
+    def _rank(self, state: StateName) -> tuple:
+        """Per shape that may fire at a state, (field, unit, shape), ranked
+        as the label texts sort (`ev:10` before `ev:9`), ties in shape
+        order.  Shapes are in line order, which is that order unless the
+        lines' lengths differ."""
+        bases, shapes = self.bases, self.by_source[state]
+        if len(shapes) > 1 and len(str(self.shapes[shapes[0]][0])) != len(str(self.shapes[shapes[-1]][0])):
+            shapes = sorted(shapes, key=lambda i: (str(self.shapes[i][0]), i))
+        ranked = self._ranked[state] = tuple([(self.FULL << bases[i], 1 << bases[i], i) for i in shapes])
+        for _, unit, i in ranked:
+            self._fired[unit] = i
+        return ranked
+
+    def moves(self, state: StateName, sigma: int | None, psi: int) -> list:
+        if sigma is not None:
+            target, body = self.sigma_parts[sigma]
+            return [(STATECHANGE, (target, None, psi + body), 0)]
+        if psi & self.masks.get(state, 0):
+            out = []
+            for field, unit, shape in self._ranked.get(state) or self._rank(state):
+                if psi & field:
+                    label, fire = self._fires[shape] or self._fire(shape)
+                    out.append((label, (state, fire, psi - unit), 0))
+            return out
+        calls, ticks = self._calls.get(state) or self._compile(state)
+        out = [(label, (state, sid, psi), 0) for label, sid in calls]
+        if ticks:
+            out.append((TICK, (state, None, (psi >> 8) & self.keep), 1))
         return out
 
 
@@ -468,18 +650,24 @@ class TraceStep(NamedTuple):
     config: Configuration
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Trace:
     """A finite run: the labelled steps taken from some start configuration.
     Each step records the configuration reached."""
 
     steps: tuple[TraceStep, ...]
 
+    def __init__(self, steps):
+        _set_steps(self, steps)
+
     def labels(self) -> list[str]:
         return [step.label.text() for step in self.steps]
 
     def __len__(self) -> int:
         return len(self.steps)
+
+
+_set_steps = Trace.__dict__["steps"].__set__
 
 
 def random_steps(
@@ -545,13 +733,18 @@ def trace_payload(trace: Trace) -> list:
     return [step_payload(step) for step in trace.steps]
 
 
+# What `json.dumps` calls with its default arguments, without the cost of
+# its keyword handling, which is more than the encoding of a short name.
+_encode = json.JSONEncoder().encode
+
+
 class Quoted(dict):
-    """The JSON text of each value looked up, from `json.dumps` on its first
-    lookup.  The text writers keep one per output, so each distinct name is
-    encoded once and nothing outlives the output."""
+    """The JSON text of each value looked up, as `json.dumps` writes it,
+    encoded on its first lookup.  The text writers keep one per output, so
+    each distinct name is encoded once and nothing outlives the output."""
 
     def __missing__(self, value) -> str:
-        text = self[value] = json.dumps(value)
+        text = self[value] = _encode(value)
         return text
 
 

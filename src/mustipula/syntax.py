@@ -144,7 +144,7 @@ class Contract:
         return self.events_by_line.get(line)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ClauseId:
     """Identity of a clause: a function `(source, name, target)` or an event
     `(source, ev_n, target)` with `n` the event's line-code."""
@@ -153,6 +153,14 @@ class ClauseId:
     source: StateName
     label: str
     target: StateName
+
+    # Filled through the slots' descriptors, as EventDecl is: the per-clause
+    # analyses build one per clause.
+    def __init__(self, kind, source, label, target):
+        _set_kind(self, kind)
+        _set_clause_source(self, source)
+        _set_label(self, label)
+        _set_clause_target(self, target)
 
     def text(self) -> str:
         return f"{self.source} {self.label} {self.target}"
@@ -164,6 +172,11 @@ class ClauseId:
     @classmethod
     def of_event(cls, ev: EventDecl) -> "ClauseId":
         return cls("event", ev.source, f"ev_{ev.line}", ev.target)
+
+
+_set_kind, _set_clause_source, _set_label, _set_clause_target = (
+    ClauseId.__dict__[name].__set__ for name in ("kind", "source", "label", "target")
+)
 
 
 def clause_ids(contract: Contract) -> frozenset[ClauseId]:

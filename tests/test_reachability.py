@@ -15,7 +15,8 @@ import pytest
 import mustipula as mu
 from mustipula.errors import DifferentContractsError, InvalidContractError, NotDIError
 from mustipula.semantics import (
-    EMPTY_PSI, Body, Configuration, Mode, PendingEvent, PendingSet, StepTable, TraceStep,
+    EMPTY_PSI, Body, Configuration, Mode, PackedStepTable, PendingEvent, PendingSet, StepTable,
+    TraceStep,
 )
 from mustipula.syntax import ClauseId, Contract, EventDecl, FunctionDecl, TimeExpr
 
@@ -809,10 +810,12 @@ def test_step_table_agrees_with_successors(mode):
     # From every node of a capped search, the packed moves decode to
     # `successors` of the node at clock 0, in label-text order, with each
     # move's ticks as the clock: one move per distinct firable event, however
-    # many copies are pending.
+    # many copies are pending.  Both encodings of psi take part.
+    kinds = Counter()
     for contract in _forward_corpus():
         exploration, _ = mu.explore(contract, mode, mu.ExplorationLimits(400, 40, 12))
         table = exploration.table
+        kinds[type(table)] += 1
         for key in exploration.packed:
             got = [
                 (label, Configuration(contract, *table.decode(nxt), ticks))
@@ -820,6 +823,66 @@ def test_step_table_agrees_with_successors(mode):
             ]
             want = mu.successors(Configuration(contract, *table.decode(key)), mode)
             assert got == sorted(want, key=lambda step: step[0].text())
+    assert kinds[StepTable] > 10 and kinds[PackedStepTable] > 10
+
+
+def _encoding_cases():
+    """One contract of each kind, and whether its searches pack psi into an
+    int: instantaneous (Sample and a DI contract), time-ahead (PingPong),
+    mixed delays (the D encoding of inc_chain(3)), and time-ahead with
+    `now + 1000000`, whose fields would not fit."""
+    copies = next(c for c in _corner_contracts() if c.name == "Copies")
+    di = next(c for c in di_corpus() if sum(1 for _ in c.events()) >= 3)
+    return [
+        (sample(), True), (di, True), (pingpong(), True),
+        (mu.encode(inc_chain(3), "d"), False), (copies, False),
+    ]
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_step_table_encoding_follows_the_delays(mode):
+    # Both encodings search as the reference does, and `size` counts psi.
+    limit_sets = (mu.ExplorationLimits(400, 40, 12), mu.ExplorationLimits(400, 2, 4), mu.ExplorationLimits(400, 1, 12))
+    for contract, packed in _encoding_cases():
+        for limits in limit_sets:
+            configs, parents, complete, limit_hit = reference_explore(contract, mode, limits)
+            exploration, _ = mu.explore(contract, mode, limits)
+            table = exploration.table
+            assert isinstance(table, PackedStepTable) == packed, contract.name
+            assert isinstance(table.start[2], int) == packed
+            assert exploration.configs == configs
+            assert exploration.parents == parents
+            assert (exploration.complete, exploration.limit_hit) == (complete, limit_hit)
+            for key in exploration.packed:
+                assert table.size(key[2]) == len(table.decode(key)[2])
+
+
+def test_step_table_packs_only_counts_below_255():
+    # PingPong's bodies hold one event, so a psi cap of 253 keeps every
+    # count below 255 and 254 does not; nor does a start of 254 events.
+    contract = pingpong()
+    start = mu.initial_config(contract)
+    assert isinstance(StepTable.for_search(contract, start, Mode.TICK, 253), PackedStepTable)
+    assert not isinstance(StepTable.for_search(contract, start, Mode.TICK, 254), PackedStepTable)
+    big = Configuration(contract, "Q0", None, PendingSet([PendingEvent(1, 4, "Q1", "Q2")] * 254))
+    assert not isinstance(StepTable.for_search(contract, big, Mode.TICK, 12), PackedStepTable)
+
+
+def test_packed_search_from_a_start_over_the_psi_cap():
+    # Every step from a start over the cap is checked against it, not only
+    # state changes: its calls keep the start's psi.
+    contract = pingpong()
+    declared = PendingEvent(1, 4, "Q1", "Q2")
+    start = Configuration(contract, "Q0", None, PendingSet([declared] * 5))
+    for mode in Mode:
+        for limits in (mu.ExplorationLimits(400, 40, 3), mu.ExplorationLimits(400, 40, 4)):
+            configs, parents, complete, limit_hit = reference_explore(contract, mode, limits, start)
+            exploration, _ = mu.explore(contract, mode, limits, start=start)
+            assert isinstance(exploration.table, PackedStepTable)
+            assert exploration.configs == configs
+            assert exploration.parents == parents
+            assert (exploration.complete, exploration.limit_hit) == (complete, limit_hit)
+            assert exploration.pruned["psi"] > 0
 
 def test_explore_from_a_start_agrees_with_reference():
     # Starts with pending events, a continuation, undeclared event shapes
@@ -851,7 +914,7 @@ def test_explore_from_a_start_agrees_with_reference():
 def test_explore_keeps_the_ta_chain_search():
     exploration, node = mu.explore(mu.encode(inc_chain(12), "ta"), target_state="QF")
     assert len(exploration.packed) == 17_327 and node == 17_326
-    assert max(len(psi) for _, _, psi in exploration.packed) == 32
+    assert max(map(exploration.table.size, [psi for _, _, psi in exploration.packed])) == 32
 
 
 def _fallback_witnesses(contract, exploration, configs, parents):
@@ -940,11 +1003,13 @@ def test_witnesses_and_fallback_verdicts_match_the_pinned_digests():
 
 
 def test_fallback_witnesses_decode_each_node_once(monkeypatch):
-    decoded = []
+    # Both encodings decode through `StepTable.decode`.
+    decoded, kinds = [], set()
     original = StepTable.decode
 
     def counted(self, key):
         decoded.append(key)
+        kinds.add(type(self))
         return original(self, key)
 
     monkeypatch.setattr(StepTable, "decode", counted)
@@ -958,6 +1023,7 @@ def test_fallback_witnesses_decode_each_node_once(monkeypatch):
             decodes += len(decoded)
     # Decoding once per witness step took 8,169 decodes.
     assert (steps, decodes) == (8169, 1074)
+    assert kinds == {StepTable, PackedStepTable}
 
 
 def test_a_decoded_search_is_freed_without_the_collector():

@@ -19,7 +19,7 @@ from mustipula.semantics import (
     PendingEvent,
     PendingSet,
 )
-from mustipula.syntax import Contract, EventDecl, TimeExpr
+from mustipula.syntax import ClauseId, Contract, EventDecl, TimeExpr
 
 from helpers import (
     GOLDEN_LABELS,
@@ -328,8 +328,22 @@ GO_END = PendingEvent(2, 4, "Go", "End")
             "Label(kind='call', name='f', line=None)",
         ),
         (semantics.TICK, ("kind", "name", "line"), "Label(kind='tick', name=None, line=None)"),
+        (
+            ClauseId("event", "Go", "ev_4", "End"),
+            ("kind", "source", "label", "target"),
+            "ClauseId(kind='event', source='Go', label='ev_4', target='End')",
+        ),
+        (mu.Trace(()), ("steps",), "Trace(steps=())"),
+        (
+            mu.Verdict("unknown", None, "psi"),
+            ("status", "witness", "detail"),
+            "Verdict(status='unknown', witness=None, detail='psi')",
+        ),
     ],
-    ids=["event", "configuration", "configuration-defaults", "call-label", "tick-label"],
+    ids=[
+        "event", "configuration", "configuration-defaults", "call-label", "tick-label", "clause",
+        "trace", "verdict",
+    ],
 )
 def test_value_types_keep_their_contract(value, fields, text):
     # The hand-written __init__s of the slotted frozen types keep what the
