@@ -41,9 +41,11 @@ from .semantics import (
     PendingSet,
     Quoted,
     STATECHANGE,
+    TICK,
     StepTable,
     Trace,
     TraceStep,
+    decrement,
     initial_config,
     step_texts,
     trace_payload,
@@ -413,14 +415,20 @@ class Exploration:
     along its path in the BFS tree `parents`.  `complete` means no cap
     pruned anything, so the nodes are the entire reachable quotient space.
 
-    `configs`, `config` and `path` decode on demand, each node at most once:
-    they share one configuration per node, and `path` keeps each node's
-    tree link `(parent, TraceStep)`, so paths share their prefixes, and the
-    path of each node asked for or branched off from.
+    `configs`, `config` and `path` build configurations on demand, each
+    node at most once and by one rule for both encodings: node 0 is `root`,
+    the start configuration at clock 0, and every other node is its tree
+    parent's configuration stepped by the rule on its tree edge (`step`).
+    `config` replays down from the nearest built ancestor and `configs`
+    builds in index order, where a parent precedes its children, so no
+    result depends on the order of the calls.  `path` keeps each node's
+    step, so paths share them, and the path of each node asked for or
+    branched off from.
     `pruned` counts, per limit, the steps to unvisited configurations that
     the limit turned away."""
 
     table: StepTable
+    root: Configuration
     packed: list[tuple]
     clocks: list[int]
     parents: list[tuple[int, Label] | None]
@@ -428,31 +436,60 @@ class Exploration:
     complete: bool = False
     limit_hit: str | None = None
     pruned: dict[str, int] = field(default_factory=lambda: {"psi": 0, "clock": 0, "configs": 0})
-    # Node -> its configuration, node -> (parent, TraceStep), as decoded,
-    # and node -> its path, as `path` builds them.
-    _nodes: dict[int, Configuration] = field(default_factory=dict, init=False, repr=False, compare=False)
-    _links: dict[int, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
-    _paths: dict[int, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
+    # Node -> its configuration, node -> its TraceStep, and node -> its
+    # path, as built; and each event a tick lowered -> its lowered copy.
+    _nodes: dict[int, Configuration] = field(init=False, repr=False, compare=False)
+    _steps: dict[int, TraceStep] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _paths: dict[int, tuple] = field(default_factory=lambda: {0: ()}, init=False, repr=False, compare=False)
+    _lowered: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._nodes = {0: self.root}
+
+    def step(self, cfg: Configuration, label: Label, key: tuple, clock: int) -> Configuration:
+        """The configuration that the move `label` from `cfg` reaches, whose
+        packed key is `key`, with clock `clock`.  A call keeps psi and takes
+        the key's continuation; a firing takes it too and removes one copy of
+        the event; a state change commits sigma; a tick lowers psi."""
+        contract, psi = cfg.contract, cfg.psi
+        if label is TICK:
+            return Configuration(contract, cfg.state, None, decrement(psi, self._lowered), clock)
+        if label is STATECHANGE:
+            body = cfg.sigma
+            return Configuration(contract, body.target, None, psi.union(body.events), clock)
+        sigma = self.table.sigmas[key[1]]
+        if label.kind == "event":
+            psi = psi.remove_one(tuple.__new__(PendingEvent, (0, label.line, cfg.state, sigma.target)))
+        return Configuration(contract, cfg.state, sigma, psi, clock)
 
     @functools.cached_property
     def configs(self) -> list[Configuration]:
-        """Every node as a configuration, built on first access.  A node is
-        decoded after its parent's psi, from which a packed table derives
-        its own (see `path`)."""
-        if self.table.derives:
-            for node in range(1, len(self.packed)):
-                if node not in self._nodes:
-                    self.table.pending(self.packed[self.parents[node][0]][2])
-                    self.config(node)
-        return list(map(self.config, range(len(self.packed))))
+        """Every node as a configuration, built on first access, in index
+        order."""
+        nodes, parents, packed, clocks, step = self._nodes, self.parents, self.packed, self.clocks, self.step
+        out = [self.root]
+        for node in range(1, len(packed)):
+            cfg = nodes.get(node)
+            if cfg is None:
+                parent, label = parents[node]
+                cfg = nodes[node] = step(out[parent], label, packed[node], clocks[node])
+            out.append(cfg)
+        return out
 
     def config(self, node: int) -> Configuration:
-        """Node `node` as a configuration, decoded on first use."""
-        cfg = self._nodes.get(node)
+        """Node `node` as a configuration, built on first use from its
+        nearest built ancestor."""
+        nodes = self._nodes
+        cfg = nodes.get(node)
         if cfg is None:
-            cfg = self._nodes[node] = Configuration(
-                self.table.contract, *self.table.decode(self.packed[node]), self.clocks[node]
-            )
+            parents, below = self.parents, []
+            while cfg is None:
+                below.append(node)
+                node = parents[node][0]
+                cfg = nodes.get(node)
+            packed, clocks, step = self.packed, self.clocks, self.step
+            for node in reversed(below):
+                cfg = nodes[node] = step(cfg, parents[node][1], packed[node], clocks[node])
         return cfg
 
     def visited_states(self) -> frozenset[StateName]:
@@ -466,32 +503,33 @@ class Exploration:
         out = self._paths.get(node)
         if out is not None:
             return out
-        links, parents, paths = self._links, self.parents, self._paths
-        # Link the nodes up to the first one linked, from the top down, each
-        # decoded after its parent, the first after the top: a packed table
-        # derives a psi from the one it decoded last.
-        unlinked, top = [], node
-        while parents[top] is not None and top not in links:
-            unlinked.append(top)
+        steps, parents, paths = self._steps, self.parents, self._paths
+        # The nodes up to the first one with a step, from the top down, so
+        # each is built from its parent.
+        below, top = [], node
+        while parents[top] is not None and top not in steps:
+            below.append(top)
             top = parents[top][0]
-        if unlinked and self.table.derives:
-            self.table.pending(self.packed[top][2])
-        new_step, steps = tuple.__new__, []
-        for child in reversed(unlinked):
-            parent, label = parents[child]
-            step = new_step(TraceStep, (label, self.config(child)))
-            links[child] = (parent, step)
-            steps.append(step)
+        # The top's configuration is built: it is the root or has a step.
+        nodes, packed, clocks, new_step = self._nodes, self.packed, self.clocks, tuple.__new__
+        cfg, new = nodes[top], []
+        for child in reversed(below):
+            label, parent_cfg = parents[child][1], cfg
+            cfg = nodes.get(child)
+            if cfg is None:
+                cfg = nodes[child] = self.step(parent_cfg, label, packed[child], clocks[child])
+            step = steps[child] = new_step(TraceStep, (label, cfg))
+            new.append(step)
         # The top's own path, kept where a later path may branch off again.
         prefix = paths.get(top)
         if prefix is None:
             above, up = [], top
             while parents[up] is not None:
-                up, step = links[up]
-                above.append(step)
+                above.append(steps[up])
+                up = parents[up][0]
             above.reverse()
             prefix = paths[top] = tuple(above)
-        out = paths[node] = prefix + tuple(steps)
+        out = paths[node] = prefix + tuple(new)
         return out
 
 
@@ -517,7 +555,8 @@ def explore(
     start = start if start is not None else initial_config(contract)
     max_configs, max_clock, max_psi = limits.max_configs, limits.max_clock, limits.max_psi
     table = StepTable.for_search(contract, start, mode, max_psi)
-    exploration = Exploration(table, [table.start], [0], [None], [])
+    root = Configuration(contract, start.state, start.sigma, start.psi, 0)
+    exploration = Exploration(table, root, [table.start], [0], [None], [])
     if target_state == start.state and start.sigma is None:
         return exploration, 0
     packed, clocks = exploration.packed, exploration.clocks
@@ -641,7 +680,8 @@ def unreachable_clauses(
         return verdicts
 
     exploration, _ = explore(contract, mode, limits, record_edges=True)
-    packed, clocks, sigma_parts = exploration.packed, exploration.clocks, exploration.table.sigma_parts
+    packed, clocks, parents = exploration.packed, exploration.clocks, exploration.parents
+    sigma_parts = exploration.table.sigma_parts
     # A call's clause is (source, name, target); an event's, its line-code.
     first_use: dict[tuple | int, tuple[int, Label, int]] = {}
     for edge in exploration.edges:
@@ -659,11 +699,13 @@ def unreachable_clauses(
             return Verdict.unknown(exploration.limit_hit)
         node, label, child = edge
         steps = exploration.path(node)
-        # A call or event step keeps the clock; clocks[child] may be the
-        # clock of another path.
-        cfg = exploration.config(child)
-        if cfg.clock != clocks[node]:
-            cfg = Configuration(contract, cfg.state, cfg.sigma, cfg.psi, clocks[node])
+        # A tree edge's child is a node; any other edge is stepped from its
+        # source, since a call or event step keeps the clock, and
+        # clocks[child] is the clock of another path.
+        if parents[child] == (node, label):
+            cfg = exploration.config(child)
+        else:
+            cfg = exploration.step(exploration.config(node), label, packed[child], clocks[node])
         return Verdict.reachable(Trace(steps + (tuple.__new__(TraceStep, (label, cfg)),)))
 
     for fn in contract.functions:

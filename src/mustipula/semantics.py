@@ -324,22 +324,6 @@ def _take(rules: _Rules, state: StateName, psi: PendingSet, option) -> Move:
     return (STATECHANGE, target, None, psi.union(body_events), 0)
 
 
-class _Events(dict):
-    """Packed pending event -> `PendingEvent`, decoded on first lookup.  It
-    holds the shapes, not the table, so it closes no reference cycle."""
-
-    __slots__ = ("K", "shapes")
-
-    def __init__(self, K: int, shapes: list[tuple]):
-        self.K, self.shapes = K, shapes
-
-    def __missing__(self, e: int) -> PendingEvent:
-        delay, shape = divmod(e, self.K)
-        # `tuple.__new__` skips the NamedTuple constructor, as in `decrement`.
-        ev = self[e] = tuple.__new__(PendingEvent, (delay, *self.shapes[shape]))
-        return ev
-
-
 class StepTable:
     """The rules for one forward search, over interned ids, compiled from
     the contract, the search's start configuration and its mode.  Build it
@@ -347,18 +331,24 @@ class StepTable:
 
     A state is its name.  A continuation is an int interned on its value
     `(body, target)`, so equal continuations share one id however they
-    arise; the empty continuation is None.  Shapes number the distinct
-    (line, source, target) triples of the contract's and the start's events
-    in sorted order.  Here psi is a sorted tuple of the ints `delay * K +
-    shape`, so packed order is `PendingSet` order.  A tick subtracts K from
-    every entry and drops those below K; the firable events are the entries
-    below K whose source is the current state.  `PackedStepTable` keeps psi
-    as one int instead.  `start` is the start configuration's packed key,
-    and `size(psi)` is the number of pending events in a packed psi.
+    arise; `sigmas[id]` is the `Body` it stands for, and the empty
+    continuation is None.  Shapes number the distinct (line, source,
+    target) triples of the contract's and the start's events in sorted
+    order.  Here psi is a sorted tuple of the ints `delay * K + shape`, so
+    packed order is `PendingSet` order.  A tick subtracts K from every entry
+    and drops those below K; the firable events are the entries below K
+    whose source is the current state.  `PackedStepTable` keeps psi as one
+    int instead.  `start` is the start configuration's packed key, and
+    `size(psi)` is the number of pending events in a packed psi.
 
     Shapes are numbered in one pass, so K is fixed when the table is built.
     Continuations are interned as they are met; a shape's label and fire
-    continuation, and a state's calls and tick permission, on first use."""
+    continuation, and a state's calls and tick permission, on first use;
+    the rank of the shapes, on the first node where two of them fire.  The
+    table decodes nothing for the search: `reachability.Exploration` builds
+    each node from its tree parent by the rule on its tree edge, so a psi
+    costs no more to decode in one encoding than in the other.  `decode`
+    reads a key afresh, for checks."""
 
     # Packed psi has at most this many one-byte count fields; the largest
     # `forward_reach` table, TA `inc_chain(12)`, has 144.
@@ -375,44 +365,53 @@ class StepTable:
         events: packed, the D encodings of inc_chain(3..10) searched
         1.2-1.6x slower."""
         own = start.psi if start.sigma is None else start.psi + start.sigma.events
-        pairs = [((ev.line, ev.source, ev.target), ev.time.offset) for ev in contract.events()]
+        pairs = [((ev.line, ev.source, ev.target), ev.time.offset) for fn in contract.functions for ev in fn.body]
         pairs += [(ev[1:], ev.delay) for ev in own]
-        delays = {delay for _, delay in pairs}
-        if delays <= {0} or 0 not in delays:
+        # One sort by delay gives the lowest and the highest delay, and each
+        # shape's largest delay: the last pair of a shape wins.
+        pairs.sort(key=itemgetter(1))
+        depth = dict(pairs)
+        if not pairs or pairs[0][1] or not pairs[-1][1]:
             # Only a state change adds to psi, at most the longest body, and
             # the search admits no psi over the cap but its start's.
             longest = max([len(fn.body) for fn in contract.functions], default=0)
             if start.sigma is not None:
                 longest = max(longest, len(start.sigma.events))
-            # Each shape's largest delay: the pairs by delay, the last wins.
-            depth = dict(sorted(pairs, key=itemgetter(1)) if len(delays) > 1 else pairs)
             fits = max(max_psi, len(start.psi)) + longest < PackedStepTable.FULL
             if fits and len(depth) + sum(depth.values()) <= StepTable.PACKED_FIELDS:
                 return PackedStepTable(contract, start, mode, depth)
-        return StepTable(contract, start, mode, {shape for shape, _ in pairs})
+        return StepTable(contract, start, mode, depth)
 
-    def __init__(self, contract: Contract, start: Configuration, mode: Mode, shapes: Iterable[tuple]):
+    def __init__(self, contract: Contract, start: Configuration, mode: Mode, depth: dict[tuple, int]):
         self.contract = contract
         self.mode = mode
         self.sigma_ids: dict[tuple, int] = {}
         self.sigmas: list[Body] = []  # id -> the continuation it stands for
         self.sigma_parts: list[tuple] = []  # id -> (target, body)
         self._calls: dict = {}  # state -> its compiled moves
-        self._psis: dict = {}  # packed psi -> decoded
-        self.shapes = sorted(shapes)
+        self.shapes = sorted(depth)
         self.shape_ids = dict(zip(self.shapes, range(len(self.shapes))))
+        self.shape_source = [source for _, source, _ in self.shapes]
         self.K = max(1, len(self.shapes))
-        self._events = _Events(self.K, self.shapes)
         self._fires: list = [None] * len(self.shapes)  # shape -> (label, continuation)
-        self._lay_out()
+        self.shape_rank: list[int] | None = None  # shape -> `_rank_shapes()`
+        self._lay_out(depth)
         sigma = None if start.sigma is None else self.sigma(start.sigma)
         self.start = (start.state, sigma, self.pack(start.psi))
 
-    def _lay_out(self):
-        self.shape_source = [source for _, source, _ in self.shapes]
-        # Firable events sort as their label texts do (`ev:10` before
-        # `ev:9`), ties in shape order.
-        self.shape_rank = [(f"ev:{line}", i) for i, (line, _, _) in enumerate(self.shapes)]
+    def _lay_out(self, depth: dict[tuple, int]):
+        """The encoding's own fields, from each shape's largest delay; the
+        tuple needs none."""
+
+    def _rank_shapes(self) -> list[int]:
+        """Each shape's rank among firable events, which sort as their label
+        texts do (`ev:10` before `ev:9`), ties in shape order: an int per
+        shape, so that `moves` sorts by a C-level key."""
+        order = sorted(range(len(self.shapes)), key=lambda i: str(self.shapes[i][0]))
+        rank = self.shape_rank = [0] * len(order)
+        for r, i in enumerate(order):
+            rank[i] = r
+        return rank
 
     def pack(self, psi: Iterable[PendingEvent]) -> tuple[int, ...]:
         K, ids = self.K, self.shape_ids
@@ -420,9 +419,6 @@ class StepTable:
 
     size = len  # of a packed psi
     NOTHING = ()  # the empty psi, packed
-    # Whether `pending` derives a psi from the one it decoded last, so that
-    # decoding a node's parent first pays.
-    derives = False
 
     def sigma(self, body: Body) -> int:
         parts = (body.target, self.pack(body.events) if body.events else self.NOTHING)
@@ -433,17 +429,16 @@ class StepTable:
             self.sigma_parts.append(parts)
         return sid
 
-    def pending(self, psi: tuple[int, ...]) -> PendingSet:
-        """Packed psi as a `PendingSet`, already in its order; one per
-        distinct packed psi."""
-        out = self._psis.get(psi)
-        if out is None:
-            out = self._psis[psi] = _sorted(tuple(map(self._events.__getitem__, psi)))
-        return out
+    def _codes(self, psi: tuple[int, ...]) -> tuple[int, ...]:
+        """Packed psi as the sorted ints `delay * K + shape`."""
+        return psi
 
     def decode(self, key: tuple) -> tuple[StateName, Continuation, PendingSet]:
+        """A packed key as (state, sigma, psi), read afresh on every call."""
         state, sigma, psi = key
-        return state, None if sigma is None else self.sigmas[sigma], self.pending(psi)
+        K, shapes = self.K, self.shapes
+        events = [PendingEvent(code // K, *shapes[code % K]) for code in self._codes(psi)]
+        return state, None if sigma is None else self.sigmas[sigma], _sorted(events)
 
     def _compile(self, state: StateName):
         # Call labels sort as their texts do: by name, ties in declaration order.
@@ -474,7 +469,7 @@ class StepTable:
                 firing.append(e)
         if firing:
             if len(firing) > 1:
-                firing.sort(key=self.shape_rank.__getitem__)
+                firing.sort(key=(self.shape_rank or self._rank_shapes()).__getitem__)
             out = []
             for e in firing:
                 label, fire = self._fires[e] or self._fire(e)
@@ -497,39 +492,24 @@ class PackedStepTable(StepTable):
     which receives the next shape's delay-0 count.  `for_search` admits a
     table only if no count can reach 255, so `psi % 255` is |psi|.  Each
     state's firable test is one mask, and the shapes that fire there are
-    ranked when it first fires.  Decoding goes through the tuple encoding:
-    a psi's codes are derived from those of the psi decoded last, where one
-    rule leads from that one to this one, so paths decode from the top."""
+    ranked when it first fires.  Nothing here decodes a search's psi: its
+    nodes are built from their tree parents, as for the tuple encoding."""
 
     FULL = 255
     NOTHING = 0
-    derives = True
 
-    def __init__(self, contract: Contract, start: Configuration, mode: Mode, depth: dict[tuple, int]):
-        self.depth = depth  # shape -> its largest delay
-        super().__init__(contract, start, mode, depth)
-
-    def _lay_out(self):
-        shapes = self.shapes
-        depths = list(map(self.depth.__getitem__, shapes))
+    def _lay_out(self, depth: dict[tuple, int]):
+        depths = list(map(depth.__getitem__, self.shapes))
         self.bases = list(accumulate([8 * d + 8 for d in depths], initial=0))  # shape -> its delay-0 bit
         self.fields = self.bases.pop() // 8
         self.keep = int.from_bytes(b"".join([b"\xff" * d + b"\0" for d in depths]), "little") if any(depths) else 0
-        # State -> the shapes with that source, and the mask of their
-        # delay-0 fields: its firable test.
-        self.by_source: dict[StateName, list[int]] = {}
+        # State -> the mask of the delay-0 fields of the shapes with that
+        # source: its firable test.
         self.masks: dict[StateName, int] = {}
-        for i, (_, source, _) in enumerate(shapes):
-            self.by_source.setdefault(source, []).append(i)
-            self.masks[source] = self.masks.get(source, 0) | self.FULL << self.bases[i]
+        masks = self.masks
+        for source, base in zip(self.shape_source, self.bases):
+            masks[source] = masks.get(source, 0) | self.FULL << base
         self._ranked: dict[StateName, tuple] = {}  # state -> `_rank(state)`
-        self._fired: dict[int, int] = {}  # the unit a ranked firing takes -> its shape
-        # Decoding goes through the tuple encoding's codes: packed psi ->
-        # (codes, events), and packed body -> its events, or its codes once
-        # a decoding has used them.
-        self._decoded: dict[int, tuple] = {0: ((), EMPTY_PSI)}
-        self._bodies: dict[int, tuple] = {}
-        self._last, self._last_known = 0, self._decoded[0]  # the psi decoded last
 
     def pack(self, psi: Iterable[PendingEvent]) -> int:
         bases, ids = self.bases, self.shape_ids
@@ -538,45 +518,8 @@ class PackedStepTable(StepTable):
     def size(self, psi: int) -> int:
         return psi % self.FULL
 
-    def sigma(self, body: Body) -> int:
-        sid = super().sigma(body)
-        self._bodies[self.sigma_parts[sid][1]] = body.events
-        return sid
-
-    def pending(self, psi: int) -> PendingSet:
-        known = self._decoded.get(psi)
-        if known is None:
-            known = self._decoded[psi] = self._derived(psi) or self._read(psi)
-        self._last, self._last_known = psi, known
-        return known[1]
-
-    def _derived(self, psi: int) -> tuple | None:
-        """Psi's (codes, events) from those of the psi decoded last, where a
-        firing, a tick or a state change leads from that one to this one, by
-        the tuple encoding's rules.  No count reaches 255, so these int
-        relations hold exactly when the multiset ones do."""
-        last, (codes, events) = self._last, self._last_known
-        fewer = last - psi
-        if fewer > 0:
-            shape = self._fired.get(fewer)
-            if shape is not None:  # codes and events line up: both lose one
-                i = codes.index(shape)
-                return codes[:i] + codes[i + 1 :], _sorted(events[:i] + events[i + 1 :])
-            if psi != (last >> 8) & self.keep:
-                return None
-            K = self.K
-            codes = tuple([c - K for c in codes if c >= K])
-        else:
-            body = self._bodies.get(-fewer)
-            if body is None:
-                return None
-            if type(body) is PendingSet:  # its codes, on first use
-                body = self._bodies[-fewer] = StepTable.pack(self, body)
-            codes = tuple(sorted(codes + body))
-        return codes, _sorted(map(self._events.__getitem__, codes))
-
-    def _read(self, psi: int) -> tuple:
-        """Psi's (codes, events) read off its nonzero fields."""
+    def _codes(self, psi: int) -> tuple[int, ...]:
+        """Psi's codes in the tuple encoding, read off its nonzero fields."""
         bases, codes, rest = self.bases, [], psi
         while rest:
             bit = (rest & -rest).bit_length() - 1 & ~7  # the field's lowest bit
@@ -584,20 +527,18 @@ class PackedStepTable(StepTable):
             shape = bisect_right(bases, bit) - 1
             codes += [(bit - bases[shape] >> 3) * self.K + shape] * count
             rest -= count << bit
-        codes.sort()
-        return tuple(codes), _sorted(map(self._events.__getitem__, codes))
+        return tuple(sorted(codes))
 
     def _rank(self, state: StateName) -> tuple:
         """Per shape that may fire at a state, (field, unit, shape), ranked
         as the label texts sort (`ev:10` before `ev:9`), ties in shape
         order.  Shapes are in line order, which is that order unless the
         lines' lengths differ."""
-        bases, shapes = self.bases, self.by_source[state]
+        bases = self.bases
+        shapes = [i for i, source in enumerate(self.shape_source) if source == state]
         if len(shapes) > 1 and len(str(self.shapes[shapes[0]][0])) != len(str(self.shapes[shapes[-1]][0])):
-            shapes = sorted(shapes, key=lambda i: (str(self.shapes[i][0]), i))
+            shapes.sort(key=lambda i: str(self.shapes[i][0]))
         ranked = self._ranked[state] = tuple([(self.FULL << bases[i], 1 << bases[i], i) for i in shapes])
-        for _, unit, i in ranked:
-            self._fired[unit] = i
         return ranked
 
     def moves(self, state: StateName, sigma: int | None, psi: int) -> list:

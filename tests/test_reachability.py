@@ -18,6 +18,7 @@ from mustipula.semantics import (
     EMPTY_PSI, Body, Configuration, Mode, PackedStepTable, PendingEvent, PendingSet, StepTable,
     TraceStep,
 )
+from mustipula.reachability import Exploration
 from mustipula.syntax import ClauseId, Contract, EventDecl, FunctionDecl, TimeExpr
 
 from helpers import (
@@ -973,6 +974,44 @@ def test_paths_and_fallback_witnesses_agree_with_reference(mode):
     assert stats["witnesses"] > 500 and stats["reclocked"] > 0
 
 
+@pytest.mark.parametrize("mode", list(Mode))
+def test_nodes_decode_alike_in_any_call_order(mode):
+    # Each node is its tree parent stepped by the rule on its tree edge, so
+    # no order of `config`, `path` and `configs` calls changes a value or a
+    # clock.  The last start has a continuation and two copies of one event.
+    rng = random.Random(24)
+    copies = next(c for c in _corner_contracts() if c.name == "Copies")
+    declared = PendingEvent(1, 4, "Q1", "Q2")
+    start = Configuration(pingpong(), "Q2", Body(PendingSet([declared]), "Q1"), PendingSet([declared, declared]), 7)
+    cases = [(mu.encode(inc_chain(3), fragment), None) for fragment in ("i", "ta", "d")]
+    cases += [(pingpong(), None), (copies, None), (start.contract, start)]
+    limits = mu.ExplorationLimits(400, 40, 12)
+    kinds = Counter()
+    for contract, start in cases:
+        configs, parents, _, _ = reference_explore(contract, mode, limits, start)
+        nodes = range(len(configs))
+        for _ in range(3):
+            exploration, _ = mu.explore(contract, mode, limits, start=start)
+            kinds[type(exploration.table)] += 1
+            calls = [("configs", 0)] + [(call, node) for node in nodes for call in ("config", "path")]
+            rng.shuffle(calls)
+            for call, node in calls:
+                if call == "config":
+                    cfg = exploration.config(node)
+                    assert (cfg, cfg.clock) == (configs[node], configs[node].clock)
+                elif call == "path":
+                    path = exploration.path(node)
+                    want = reference_path(configs, parents, node)
+                    assert path == want
+                    assert [step.config.clock for step in path] == [step.config.clock for step in want]
+                else:
+                    assert exploration.configs == configs
+            for node, cfg in enumerate(exploration.configs):
+                assert cfg is exploration.config(node)
+                assert cfg.clock == configs[node].clock
+    assert kinds[StepTable] and kinds[PackedStepTable]
+
+
 # sha256 digests, taken before witnesses shared decoded nodes and tree links,
 # of `trace_json` of every `bounded_reach` witness and of the fallback's
 # `verdict_payload`s, on the i/ta/d encodings of the suite machines and of
@@ -1003,26 +1042,28 @@ def test_witnesses_and_fallback_verdicts_match_the_pinned_digests():
 
 
 def test_fallback_witnesses_decode_each_node_once(monkeypatch):
-    # Both encodings decode through `StepTable.decode`.
-    decoded, kinds = [], set()
-    original = StepTable.decode
+    # Both encodings build each configuration through `Exploration.step`,
+    # from its tree parent or, for a witness's last step off the tree, from
+    # the edge's source.
+    built, kinds = [], set()
+    original = Exploration.step
 
-    def counted(self, key):
-        decoded.append(key)
-        kinds.add(type(self))
-        return original(self, key)
+    def counted(self, cfg, label, key, clock):
+        built.append(key)
+        kinds.add(type(self.table))
+        return original(self, cfg, label, key, clock)
 
-    monkeypatch.setattr(StepTable, "decode", counted)
-    steps = decodes = 0
+    monkeypatch.setattr(Exploration, "step", counted)
+    steps = derivations = 0
     for n in (3, 6):
         for fragment in ("i", "ta", "d"):
-            decoded.clear()
+            built.clear()
             verdicts = mu.unreachable_clauses(mu.encode(inc_chain(n), fragment))
             steps += sum(len(v.witness) for v in verdicts.values() if v.witness is not None)
-            assert len(decoded) == len(set(decoded))
-            decodes += len(decoded)
-    # Decoding once per witness step took 8,169 decodes.
-    assert (steps, decodes) == (8169, 1074)
+            assert len(built) == len(set(built))
+            derivations += len(built)
+    # Building once per witness step took 8,169 derivations.
+    assert (steps, derivations) == (8169, 1074)
     assert kinds == {StepTable, PackedStepTable}
 
 
