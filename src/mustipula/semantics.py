@@ -22,9 +22,9 @@ No rule reads the clock; it is carried for trace readability only.
 the first lists the enabled rule instances unbuilt, the second builds the
 move of one.  `successors` builds every option; `random_steps` draws one
 option and builds only that.  Both emit a configuration at every step and
-hash none, so interning the parts cannot pay there.  `StepTable` runs the
-same rules on interned ids, compiled for each forward search, which hashes
-every configuration it meets and builds configurations only for its output.
+hash none, so interning the parts cannot pay there.  `StepTable` compiles
+the same rules on interned ids for each forward search, which hashes every
+configuration it meets and builds configurations only for its output.
 """
 
 from __future__ import annotations
@@ -62,13 +62,14 @@ class PendingSet(tuple):
         return super().__new__(cls, sorted(events))
 
     # An empty operand or result shares an existing set: a walk keeps every
-    # step's psi, so each new set is one more object for the collector.
+    # step's psi, so each new set is one more object for the collector.  A
+    # tuple operand, such as every `Body.events`, is concatenated uncopied.
     def union(self, other: Iterable[PendingEvent]) -> "PendingSet":
         if not other:
             return self
         if not self and type(other) is PendingSet:
             return other
-        return _sorted(sorted(self + tuple(other)))
+        return _sorted(sorted(self + (other if isinstance(other, tuple) else tuple(other))))
 
     def remove_one(self, event: PendingEvent) -> "PendingSet":
         i = self.index(event)
@@ -345,10 +346,10 @@ class StepTable:
     Continuations are interned as they are met; a shape's label and fire
     continuation, and a state's calls and tick permission, on first use;
     the rank of the shapes, on the first node where two of them fire.  The
-    table decodes nothing for the search: `reachability.Exploration` builds
-    each node from its tree parent by the rule on its tree edge, so a psi
-    costs no more to decode in one encoding than in the other.  `decode`
-    reads a key afresh, for checks."""
+    table lists an idle node's firings (`fired`) and decodes nothing for
+    the search: `reachability.explore` commits, calls and ticks in its own
+    loop, and `reachability.Exploration` builds each node from its tree
+    parent by the rule on its tree edge.  `decode` reads a key afresh."""
 
     # Packed psi has at most this many one-byte count fields; the largest
     # `forward_reach` table, TA `inc_chain(12)`, has 144.
@@ -388,7 +389,7 @@ class StepTable:
         self.sigma_ids: dict[tuple, int] = {}
         self.sigmas: list[Body] = []  # id -> the continuation it stands for
         self.sigma_parts: list[tuple] = []  # id -> (target, body)
-        self._calls: dict = {}  # state -> its compiled moves
+        self.calls: dict = {}  # state -> (its calls, whether it ticks)
         self.shapes = sorted(depth)
         self.shape_ids = dict(zip(self.shapes, range(len(self.shapes))))
         self.shape_source = [source for _, source, _ in self.shapes]
@@ -406,7 +407,7 @@ class StepTable:
     def _rank_shapes(self) -> list[int]:
         """Each shape's rank among firable events, which sort as their label
         texts do (`ev:10` before `ev:9`), ties in shape order: an int per
-        shape, so that `moves` sorts by a C-level key."""
+        shape, so that `fired` sorts by a C-level key."""
         order = sorted(range(len(self.shapes)), key=lambda i: str(self.shapes[i][0]))
         rank = self.shape_rank = [0] * len(order)
         for r, i in enumerate(order):
@@ -440,12 +441,12 @@ class StepTable:
         events = [PendingEvent(code // K, *shapes[code % K]) for code in self._codes(psi)]
         return state, None if sigma is None else self.sigmas[sigma], _sorted(events)
 
-    def _compile(self, state: StateName):
+    def compile_calls(self, state: StateName) -> tuple:
         # Call labels sort as their texts do: by name, ties in declaration order.
         fns = sorted(self.contract.by_source.get(state, ()), key=lambda fn: fn.name)
         calls = tuple((fn.call[0], self.sigma(fn.call[1])) for fn in fns)
         ticks = self.mode is Mode.TICK or state not in self.contract.init_ev
-        compiled = self._calls[state] = (calls, ticks)
+        compiled = self.calls[state] = (calls, ticks)
         return compiled
 
     def _fire(self, shape: int) -> tuple[Label, int]:
@@ -453,13 +454,10 @@ class StepTable:
         fire = self._fires[shape] = (Label("event", None, line), self.sigma(Body(EMPTY_PSI, target)))
         return fire
 
-    def moves(self, state: StateName, sigma: int | None, psi: tuple) -> list:
-        """The enabled moves from packed parts, as (label, (state', sigma',
-        psi'), ticks) in label-text order: the order `explore` expands them
-        in."""
-        if sigma is not None:
-            target, body = self.sigma_parts[sigma]
-            return [(STATECHANGE, (target, None, tuple(sorted(psi + body)) if body else psi), 0)]
+    def fired(self, state: StateName, psi: tuple) -> list:
+        """The firings from an idle node, as (label, (state, sigma', psi'))
+        in label-text order, one per distinct firable event: an empty list
+        when none of psi's delay-0 events has its source at `state`."""
         K, source = self.K, self.shape_source
         firing = []
         for e in psi:
@@ -467,19 +465,13 @@ class StepTable:
                 break
             if source[e] == state and (not firing or firing[-1] != e):
                 firing.append(e)
-        if firing:
-            if len(firing) > 1:
-                firing.sort(key=(self.shape_rank or self._rank_shapes()).__getitem__)
-            out = []
-            for e in firing:
-                label, fire = self._fires[e] or self._fire(e)
-                i = psi.index(e)
-                out.append((label, (state, fire, psi[:i] + psi[i + 1 :]), 0))
-            return out
-        calls, ticks = self._calls.get(state) or self._compile(state)
-        out = [(label, (state, sid, psi), 0) for label, sid in calls]
-        if ticks:
-            out.append((TICK, (state, None, tuple([e - K for e in psi if e >= K])), 1))
+        if len(firing) > 1:
+            firing.sort(key=(self.shape_rank or self._rank_shapes()).__getitem__)
+        out = []
+        for e in firing:
+            label, fire = self._fires[e] or self._fire(e)
+            i = psi.index(e)
+            out.append((label, (state, fire, psi[:i] + psi[i + 1 :])))
         return out
 
 
@@ -491,9 +483,10 @@ class PackedStepTable(StepTable):
     is `(psi >> 8) & keep`, where `keep` clears each shape's top field,
     which receives the next shape's delay-0 count.  `for_search` admits a
     table only if no count can reach 255, so `psi % 255` is |psi|.  Each
-    state's firable test is one mask, and the shapes that fire there are
-    ranked when it first fires.  Nothing here decodes a search's psi: its
-    nodes are built from their tree parents, as for the tuple encoding."""
+    state's firable test is one mask in `masks`, which `explore` runs
+    before it asks `fired`, and the shapes that fire there are ranked when
+    it first fires.  Nothing here decodes a search's psi: its nodes are
+    built from their tree parents, as for the tuple encoding."""
 
     FULL = 255
     NOTHING = 0
@@ -541,21 +534,12 @@ class PackedStepTable(StepTable):
         ranked = self._ranked[state] = tuple([(self.FULL << bases[i], 1 << bases[i], i) for i in shapes])
         return ranked
 
-    def moves(self, state: StateName, sigma: int | None, psi: int) -> list:
-        if sigma is not None:
-            target, body = self.sigma_parts[sigma]
-            return [(STATECHANGE, (target, None, psi + body), 0)]
-        if psi & self.masks.get(state, 0):
-            out = []
-            for field, unit, shape in self._ranked.get(state) or self._rank(state):
-                if psi & field:
-                    label, fire = self._fires[shape] or self._fire(shape)
-                    out.append((label, (state, fire, psi - unit), 0))
-            return out
-        calls, ticks = self._calls.get(state) or self._compile(state)
-        out = [(label, (state, sid, psi), 0) for label, sid in calls]
-        if ticks:
-            out.append((TICK, (state, None, (psi >> 8) & self.keep), 1))
+    def fired(self, state: StateName, psi: int) -> list:
+        out = []
+        for field, unit, shape in self._ranked.get(state) or self._rank(state):
+            if psi & field:
+                label, fire = self._fires[shape] or self._fire(shape)
+                out.append((label, (state, fire, psi - unit)))
         return out
 
 

@@ -808,23 +808,43 @@ def test_forward_engine_agrees_with_reference(mode):
 
 @pytest.mark.parametrize("mode", list(Mode))
 def test_step_table_agrees_with_successors(mode):
-    # From every node of a capped search, the packed moves decode to
-    # `successors` of the node at clock 0, in label-text order, with each
-    # move's ticks as the clock: one move per distinct firable event, however
-    # many copies are pending.  Both encodings of psi take part.
-    kinds = Counter()
+    # The recorded edges of every expanded node, in order, are `successors`
+    # of its configuration in label-text order, with one edge per distinct
+    # firable event however many copies are pending; a tree edge adds its
+    # ticks to the clock.  No clock cap binds, and the psi cap turns away
+    # only the state changes it must.  Most searches are complete; the rest
+    # stop at the configuration cap, and the nodes expanded before it cover
+    # every node of the capped search below.  Both encodings of psi take
+    # part.
+    kinds, stats = Counter(), Counter()
+    limits = mu.ExplorationLimits(1000, 10**6, 200)
     for contract in _forward_corpus():
-        exploration, _ = mu.explore(contract, mode, mu.ExplorationLimits(400, 40, 12))
-        table = exploration.table
-        kinds[type(table)] += 1
-        for key in exploration.packed:
-            got = [
-                (label, Configuration(contract, *table.decode(nxt), ticks))
-                for label, nxt, ticks in table.moves(*key)
-            ]
-            want = mu.successors(Configuration(contract, *table.decode(key)), mode)
-            assert got == sorted(want, key=lambda step: step[0].text())
+        exploration, _ = mu.explore(contract, mode, limits, record_edges=True)
+        kinds[type(exploration.table)] += 1
+        stats[exploration.limit_hit] += 1
+        assert exploration.pruned["clock"] == 0
+        configs, clocks, parents = exploration.configs, exploration.clocks, exploration.parents
+        edges = {}
+        for node, label, child in exploration.edges:
+            edges.setdefault(node, []).append((label, child))
+        # The node whose expansion the configuration cap cut short, if any.
+        expanded = len(configs) if exploration.complete or exploration.limit_hit == "psi" else max(edges)
+        for node in range(expanded):
+            cfg = configs[node]
+            want = sorted(mu.successors(cfg, mode), key=lambda step: step[0].text())
+            want = [(label, (n.state, n.sigma, n.psi)) for label, n in want if len(n.psi) <= limits.max_psi]
+            got = edges.get(node, [])
+            assert [(label, (configs[c].state, configs[c].sigma, configs[c].psi)) for label, c in got] == want
+            events = [label for label, _ in got if label.kind == "event"]
+            assert len(events) == (0 if cfg.sigma else len(mu.semantics.firable(cfg.psi, cfg.state)))
+            for label, child in got:
+                if parents[child] == (node, label):
+                    assert clocks[child] == clocks[node] + (label.kind == "tick")
+        capped, _ = mu.explore(contract, mode, mu.ExplorationLimits(400, 40, 12))
+        checked = {(cfg.state, cfg.sigma, cfg.psi) for cfg in configs[:expanded]}
+        assert all((cfg.state, cfg.sigma, cfg.psi) in checked for cfg in capped.configs), contract.name
     assert kinds[StepTable] > 10 and kinds[PackedStepTable] > 10
+    assert stats[None] > 200 and stats["psi"] and stats["configs"]
 
 
 def _encoding_cases():
@@ -871,19 +891,46 @@ def test_step_table_packs_only_counts_below_255():
 
 def test_packed_search_from_a_start_over_the_psi_cap():
     # Every step from a start over the cap is checked against it, not only
-    # state changes: its calls keep the start's psi.
-    contract = pingpong()
-    declared = PendingEvent(1, 4, "Q1", "Q2")
-    start = Configuration(contract, "Q0", None, PendingSet([declared] * 5))
-    for mode in Mode:
-        for limits in (mu.ExplorationLimits(400, 40, 3), mu.ExplorationLimits(400, 40, 4)):
-            configs, parents, complete, limit_hit = reference_explore(contract, mode, limits, start)
-            exploration, _ = mu.explore(contract, mode, limits, start=start)
-            assert isinstance(exploration.table, PackedStepTable)
-            assert exploration.configs == configs
-            assert exploration.parents == parents
-            assert (exploration.complete, exploration.limit_hit) == (complete, limit_hit)
-            assert exploration.pruned["psi"] > 0
+    # state changes: its calls keep the start's psi, and a firing or a tick
+    # may leave it over the cap.  PingPong and the I encoding of
+    # inc_chain(3) pack psi; `Copies` and the D encoding keep it as a tuple.
+    # A start whose steps are calls and a tick has them turned away on every
+    # run.  A start whose step is a firing holds five events, so its firing
+    # leaves four: turned away under cap 3, admitted under cap 4.
+    copies = next(c for c in _corner_contracts() if c.name == "Copies")
+    chain_i, chain_d = mu.encode(inc_chain(3), "i"), mu.encode(inc_chain(3), "d")
+    ev = next(chain_i.events())
+    cases = [
+        (Configuration(pingpong(), "Q0", None, PendingSet([PendingEvent(1, 4, "Q1", "Q2")] * 5)), True, False),
+        (Configuration(chain_i, ev.source, None, PendingSet([PendingEvent(0, ev.line, ev.source, ev.target)] * 5)), True, True),
+    ]
+    waits, due = PendingEvent(1, 30, "B", "C"), PendingEvent(0, 30, "B", "C")
+    cases += [
+        (Configuration(copies, "B", None, PendingSet([waits] * 5)), False, False),
+        (Configuration(copies, "B", None, PendingSet([due] * 2 + [waits] * 3)), False, True),
+    ]
+    dec = next(ev for ev in chain_d.events() if ev.source == "_dec1")
+    cont = next(ev for ev in chain_d.events() if ev.source == "_cont" and ev.target == "Q1")
+    waits, due = PendingEvent(1, dec.line, dec.source, dec.target), PendingEvent(0, cont.line, "_cont", "Q1")
+    cases += [
+        (Configuration(chain_d, "Q0", None, PendingSet([waits] * 5)), False, False),
+        (Configuration(chain_d, "_cont", None, PendingSet([due] * 2 + [waits] * 3)), False, True),
+    ]
+    for start, packed, fires in cases:
+        contract = start.contract
+        for mode in Mode:
+            for limits in (mu.ExplorationLimits(400, 40, 3), mu.ExplorationLimits(400, 40, 4), mu.ExplorationLimits(400, 1, 4)):
+                configs, parents, complete, limit_hit = reference_explore(contract, mode, limits, start)
+                exploration, _ = mu.explore(contract, mode, limits, start=start)
+                assert isinstance(exploration.table, PackedStepTable) == packed
+                assert exploration.configs == configs
+                assert exploration.parents == parents
+                assert (exploration.complete, exploration.limit_hit) == (complete, limit_hit)
+                if not fires or limits.max_psi == 3:
+                    assert exploration.pruned["psi"] > 0 and len(configs) == 1
+                else:
+                    assert len(configs) > 1
+
 
 def test_explore_from_a_start_agrees_with_reference():
     # Starts with pending events, a continuation, undeclared event shapes
