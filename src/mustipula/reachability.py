@@ -554,11 +554,12 @@ def explore(
     with an empty continuation, its node.
 
     The search steps on `StepTable.for_search` of this contract, start,
-    mode and psi cap, and expands each node by its kind.  A continuation's
-    commit alone adds to psi or empties sigma, so only it meets the psi cap
-    and the target test.  An idle node's firings (`table.fired`) preempt its
-    calls and its tick, the one step that meets the clock cap.  Every step
-    from a start over the psi cap meets that cap too."""
+    mode and psi cap, and expands each node by its kind in one loop.  A
+    continuation's commit alone adds to psi or empties sigma, so only it
+    meets the target test, and the psi cap when its body is not empty.  An
+    idle node's firings preempt its calls and its tick, the one step that
+    meets the clock cap.  Every step from a start over the psi cap meets
+    that cap too."""
     start = start if start is not None else initial_config(contract)
     max_configs, max_clock, max_psi = limits.max_configs, limits.max_clock, limits.max_psi
     table = StepTable.for_search(contract, start, mode, max_psi)
@@ -568,12 +569,13 @@ def explore(
         return exploration, 0
     packed, clocks = exploration.packed, exploration.clocks
     parents, edges, pruned = exploration.parents, exploration.edges, exploration.pruned
-    # The loop commits, sizes and ticks psi inline, an int or a sorted tuple
-    # as the table encodes it: as table methods, the same steps cost the
-    # `forward_reach` benchmark about 5 % of its queries/s.
+    # The loop commits, sizes, fires and ticks psi inline, an int or a sorted
+    # tuple as the table encodes it: as table methods, the same steps made
+    # the `forward_reach` benchmark slower.
     ints = isinstance(table, PackedStepTable)
-    K, FULL, sigma_parts, fired = table.K, PackedStepTable.FULL, table.sigma_parts, table.fired
-    masks, keep = (table.masks, table.keep) if ints else (None, None)
+    K, FULL, sigma_parts = table.K, PackedStepTable.FULL, table.sigma_parts
+    fires, fire_of, source = table._fires, table._fire, table.shape_source
+    masks, keep, ranked, rank = (table.masks, table.keep, table._ranked, table._rank) if ints else (None,) * 4
     compiled, compile_calls = table.calls, table.compile_calls
     # Cleared after the start; a continuation start over the cap ends the search.
     check_all = table.size(table.start[2]) > max_psi
@@ -593,15 +595,18 @@ def explore(
         node = queue.popleft()
         state, sigma, psi = packed[node]
         if sigma is not None:
+            # Every admitted psi but the start's is within the cap, so an
+            # empty body, as a firing's, needs no test.
             target, body = sigma_parts[sigma]
-            psi = psi + body if ints else tuple(sorted(psi + body)) if body else psi
+            if body:
+                psi = psi + body if ints else tuple(sorted(psi + body))
             key = (target, None, psi)
             child = len(packed)
             known = lookup(key, child)
             if known != child:
                 if record_edges:
                     edges.append((node, STATECHANGE, known))
-            elif (psi % FULL if ints else len(psi)) > max_psi:
+            elif (body or check_all) and (psi % FULL if ints else len(psi)) > max_psi:
                 turn_away(key, "psi")
             elif child >= max_configs:
                 return turn_away(key, "configs")
@@ -616,22 +621,62 @@ def explore(
                 queue.append(child)
             continue
         clock = clocks[node]
-        # The inline test is exact for ints; a tuple's delay-0 events may
-        # all wait at other states.  Firings preempt the calls and the tick;
-        # each firing comes with its key, each call with its continuation.
-        firing = fired(state, psi) if (psi & masks.get(state, 0) if ints else psi and psi[0] < K) else None
-        if firing:
-            steps, ticks = firing, False
+        # Firings, one per distinct firable event in label-text order,
+        # preempt the calls and the tick.  In an int, the state's mask finds
+        # them; in a tuple, they are the delay-0 entries with that source.
+        if ints:
+            firing = psi & masks.get(state, 0) and (ranked.get(state) or rank(state))
         else:
-            steps, ticks = compiled.get(state) or compile_calls(state)
-        for label, step in steps:
-            key = step if firing else (state, step, psi)
+            firing = None
+            for e in psi:
+                if e >= K:
+                    break
+                if source[e] == state:
+                    if firing is None:
+                        firing = [e]
+                    elif firing[-1] != e:
+                        firing.append(e)
+            if firing and len(firing) > 1:
+                firing.sort(key=(table.shape_rank or table._rank_shapes()).__getitem__)
+        if firing:
+            for item in firing:
+                if ints:
+                    field, unit, shape = item
+                    if not psi & field:
+                        continue
+                    rest = psi - unit
+                else:
+                    shape, i = item, psi.index(item)
+                    rest = psi[:i] + psi[i + 1 :]
+                label, fire = fires[shape] or fire_of(shape)
+                key = (state, fire, rest)
+                child = len(packed)
+                known = lookup(key, child)
+                if known != child:
+                    if record_edges:
+                        edges.append((node, label, known))
+                elif check_all and (rest % FULL if ints else len(rest)) > max_psi:
+                    turn_away(key, "psi")
+                elif child >= max_configs:
+                    return turn_away(key, "configs")
+                else:
+                    packed.append(key)
+                    clocks.append(clock)
+                    parents.append((node, label))
+                    if record_edges:
+                        edges.append((node, label, child))
+                    queue.append(child)
+            check_all = False
+            continue
+        calls, ticks = compiled.get(state) or compile_calls(state)
+        for label, step in calls:
+            key = (state, step, psi)
             child = len(packed)
             known = lookup(key, child)
             if known != child:
                 if record_edges:
                     edges.append((node, label, known))
-            elif check_all and (key[2] % FULL if ints else len(key[2])) > max_psi:
+            elif check_all:  # a call keeps the start's psi, over the cap
                 turn_away(key, "psi")
             elif child >= max_configs:
                 return turn_away(key, "configs")

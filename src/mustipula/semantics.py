@@ -32,7 +32,6 @@ from __future__ import annotations
 import enum
 import json
 import random
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import itemgetter
@@ -346,10 +345,10 @@ class StepTable:
     Continuations are interned as they are met; a shape's label and fire
     continuation, and a state's calls and tick permission, on first use;
     the rank of the shapes, on the first node where two of them fire.  The
-    table lists an idle node's firings (`fired`) and decodes nothing for
-    the search: `reachability.explore` commits, calls and ticks in its own
-    loop, and `reachability.Exploration` builds each node from its tree
-    parent by the rule on its tree edge.  `decode` reads a key afresh."""
+    table steps and decodes nothing for the search: `reachability.explore`
+    commits, fires, calls and ticks in its own loop, and
+    `reachability.Exploration` builds each node from its tree parent by the
+    rule on its tree edge."""
 
     # Packed psi has at most this many one-byte count fields; the largest
     # `forward_reach` table, TA `inc_chain(12)`, has 144.
@@ -407,7 +406,7 @@ class StepTable:
     def _rank_shapes(self) -> list[int]:
         """Each shape's rank among firable events, which sort as their label
         texts do (`ev:10` before `ev:9`), ties in shape order: an int per
-        shape, so that `fired` sorts by a C-level key."""
+        shape, so that `reachability.explore` sorts by a C-level key."""
         order = sorted(range(len(self.shapes)), key=lambda i: str(self.shapes[i][0]))
         rank = self.shape_rank = [0] * len(order)
         for r, i in enumerate(order):
@@ -430,17 +429,6 @@ class StepTable:
             self.sigma_parts.append(parts)
         return sid
 
-    def _codes(self, psi: tuple[int, ...]) -> tuple[int, ...]:
-        """Packed psi as the sorted ints `delay * K + shape`."""
-        return psi
-
-    def decode(self, key: tuple) -> tuple[StateName, Continuation, PendingSet]:
-        """A packed key as (state, sigma, psi), read afresh on every call."""
-        state, sigma, psi = key
-        K, shapes = self.K, self.shapes
-        events = [PendingEvent(code // K, *shapes[code % K]) for code in self._codes(psi)]
-        return state, None if sigma is None else self.sigmas[sigma], _sorted(events)
-
     def compile_calls(self, state: StateName) -> tuple:
         # Call labels sort as their texts do: by name, ties in declaration order.
         fns = sorted(self.contract.by_source.get(state, ()), key=lambda fn: fn.name)
@@ -454,26 +442,6 @@ class StepTable:
         fire = self._fires[shape] = (Label("event", None, line), self.sigma(Body(EMPTY_PSI, target)))
         return fire
 
-    def fired(self, state: StateName, psi: tuple) -> list:
-        """The firings from an idle node, as (label, (state, sigma', psi'))
-        in label-text order, one per distinct firable event: an empty list
-        when none of psi's delay-0 events has its source at `state`."""
-        K, source = self.K, self.shape_source
-        firing = []
-        for e in psi:
-            if e >= K:
-                break
-            if source[e] == state and (not firing or firing[-1] != e):
-                firing.append(e)
-        if len(firing) > 1:
-            firing.sort(key=(self.shape_rank or self._rank_shapes()).__getitem__)
-        out = []
-        for e in firing:
-            label, fire = self._fires[e] or self._fire(e)
-            i = psi.index(e)
-            out.append((label, (state, fire, psi[:i] + psi[i + 1 :])))
-        return out
-
 
 class PackedStepTable(StepTable):
     """A `StepTable` whose psi is one int of one-byte count fields.  Each
@@ -483,10 +451,9 @@ class PackedStepTable(StepTable):
     is `(psi >> 8) & keep`, where `keep` clears each shape's top field,
     which receives the next shape's delay-0 count.  `for_search` admits a
     table only if no count can reach 255, so `psi % 255` is |psi|.  Each
-    state's firable test is one mask in `masks`, which `explore` runs
-    before it asks `fired`, and the shapes that fire there are ranked when
-    it first fires.  Nothing here decodes a search's psi: its nodes are
-    built from their tree parents, as for the tuple encoding."""
+    state's firable test is one mask in `masks`, and the shapes that may
+    fire there are ranked (`_rank`) when `explore` first finds the mask
+    hit."""
 
     FULL = 255
     NOTHING = 0
@@ -511,17 +478,6 @@ class PackedStepTable(StepTable):
     def size(self, psi: int) -> int:
         return psi % self.FULL
 
-    def _codes(self, psi: int) -> tuple[int, ...]:
-        """Psi's codes in the tuple encoding, read off its nonzero fields."""
-        bases, codes, rest = self.bases, [], psi
-        while rest:
-            bit = (rest & -rest).bit_length() - 1 & ~7  # the field's lowest bit
-            count = rest >> bit & self.FULL
-            shape = bisect_right(bases, bit) - 1
-            codes += [(bit - bases[shape] >> 3) * self.K + shape] * count
-            rest -= count << bit
-        return tuple(sorted(codes))
-
     def _rank(self, state: StateName) -> tuple:
         """Per shape that may fire at a state, (field, unit, shape), ranked
         as the label texts sort (`ev:10` before `ev:9`), ties in shape
@@ -533,14 +489,6 @@ class PackedStepTable(StepTable):
             shapes.sort(key=lambda i: str(self.shapes[i][0]))
         ranked = self._ranked[state] = tuple([(self.FULL << bases[i], 1 << bases[i], i) for i in shapes])
         return ranked
-
-    def fired(self, state: StateName, psi: int) -> list:
-        out = []
-        for field, unit, shape in self._ranked.get(state) or self._rank(state):
-            if psi & field:
-                label, fire = self._fires[shape] or self._fire(shape)
-                out.append((label, (state, fire, psi - unit)))
-        return out
 
 
 def successors(cfg: Configuration, mode: Mode = Mode.TICK) -> list[tuple[Label, Configuration]]:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right
 from collections import Counter, deque
 
 import mustipula as mu
@@ -457,6 +458,25 @@ def reference_explore(contract: Contract, mode, limits, start: Configuration | N
             parents.append((node, label))
             queue.append(index[key])
     return configs, parents, limit_hit is None, limit_hit
+
+
+def decode(table, key: tuple) -> tuple:
+    """A search's packed key as (state, sigma, psi), read afresh from the
+    table's shapes: a tuple psi holds the sorted codes `delay * K + shape`,
+    and a packed one a count per shape and delay, from its base bit up."""
+    state, sigma, psi = key
+    K, shapes = table.K, table.shapes
+    if isinstance(psi, int):
+        bases, codes, rest = table.bases, [], psi
+        while rest:
+            bit = (rest & -rest).bit_length() - 1 & ~7  # the field's lowest bit
+            count = rest >> bit & table.FULL
+            shape = bisect_right(bases, bit) - 1
+            codes += [(bit - bases[shape] >> 3) * K + shape] * count
+            rest -= count << bit
+        psi = sorted(codes)
+    events = [PendingEvent(code // K, *shapes[code % K]) for code in psi]
+    return state, None if sigma is None else table.sigmas[sigma], PendingSet(events)
 
 
 def reference_path(configs, parents, node: int) -> tuple[TraceStep, ...]:

@@ -25,6 +25,7 @@ from helpers import (
     all_clause_targets,
     chain,
     coverability_fixpoint_pairs,
+    decode,
     di_corpus,
     inc_chain,
     machine_suite,
@@ -862,7 +863,8 @@ def _encoding_cases():
 
 @pytest.mark.parametrize("mode", list(Mode))
 def test_step_table_encoding_follows_the_delays(mode):
-    # Both encodings search as the reference does, and `size` counts psi.
+    # Both encodings search as the reference does, `size` counts psi, and
+    # each key decodes to its node's configuration.
     limit_sets = (mu.ExplorationLimits(400, 40, 12), mu.ExplorationLimits(400, 2, 4), mu.ExplorationLimits(400, 1, 12))
     for contract, packed in _encoding_cases():
         for limits in limit_sets:
@@ -874,8 +876,10 @@ def test_step_table_encoding_follows_the_delays(mode):
             assert exploration.configs == configs
             assert exploration.parents == parents
             assert (exploration.complete, exploration.limit_hit) == (complete, limit_hit)
-            for key in exploration.packed:
-                assert table.size(key[2]) == len(table.decode(key)[2])
+            for key, cfg in zip(exploration.packed, configs):
+                decoded = decode(table, key)
+                assert table.size(key[2]) == len(decoded[2])
+                assert decoded == (cfg.state, cfg.sigma, cfg.psi)
 
 
 def test_step_table_packs_only_counts_below_255():
@@ -930,6 +934,71 @@ def test_packed_search_from_a_start_over_the_psi_cap():
                     assert exploration.pruned["psi"] > 0 and len(configs) == 1
                 else:
                     assert len(configs) > 1
+
+
+def _both_encodings():
+    """One contract whose delays are all 0, so its searches pack psi, and
+    one with a delay of 2 as well, so they keep psi as a tuple.  At `A`,
+    `ev:9` and `ev:10` fire; `ev:5` and `ev:6` wait at `B` and `C`."""
+    for delay, packed in ((0, True), (2, False)):
+        contract = Contract("Inline", "A", (
+            FunctionDecl("A", "f", (_event(delay, "C", "A", 6),), "B"),
+            FunctionDecl("A", "g", (_event(0, "B", "C", 5),), "A"),
+            FunctionDecl("B", "h", (_event(0, "A", "B", 9), _event(0, "A", "C", 10)), "A"),
+        ))
+        yield contract, packed
+
+
+def _search_from(start, limits, packed):
+    """`explore` from `start` in each mode, checked against the reference
+    and its keys against its configurations; yields each mode, exploration
+    and the label texts of its start's edges."""
+    contract = start.contract
+    for mode in Mode:
+        configs, parents, complete, limit_hit = reference_explore(contract, mode, limits, start)
+        exploration, _ = mu.explore(contract, mode, limits, record_edges=True, start=start)
+        table = exploration.table
+        assert isinstance(table, PackedStepTable) == packed
+        assert exploration.configs == configs
+        assert exploration.parents == parents
+        assert (exploration.complete, exploration.limit_hit) == (complete, limit_hit)
+        for key, cfg in zip(exploration.packed, configs):
+            assert decode(table, key) == (cfg.state, cfg.sigma, cfg.psi)
+        yield mode, exploration, [label.text() for node, label, _ in exploration.edges if node == 0]
+
+
+def test_idle_node_whose_due_events_wait_elsewhere_calls_then_ticks():
+    # Every pending event is due, but none at `A`: nothing fires there, and
+    # its calls follow in label-text order, then its tick, which tick-plus
+    # holds back because events wait at `A`.
+    for contract, packed in _both_encodings():
+        due = [PendingEvent(0, 5, "B", "C")] * 2 + [PendingEvent(0, 6, "C", "A")]
+        start = Configuration(contract, "A", None, PendingSet(due))
+        for mode, _, labels in _search_from(start, mu.ExplorationLimits(400, 40, 12), packed):
+            assert labels == ["call:f", "call:g"] + ["tick"] * (mode is Mode.TICK)
+
+
+def test_firings_at_one_node_in_label_text_order():
+    # `ev:10` sorts before `ev:9`, and each firing removes its own event.
+    for contract, packed in _both_encodings():
+        nine, ten, elsewhere = PendingEvent(0, 9, "A", "B"), PendingEvent(0, 10, "A", "C"), PendingEvent(0, 5, "B", "C")
+        start = Configuration(contract, "A", None, PendingSet([nine, ten, elsewhere]))
+        for _, exploration, labels in _search_from(start, mu.ExplorationLimits(400, 40, 12), packed):
+            assert labels == ["ev:10", "ev:9"]
+            assert [exploration.config(child).psi for _, _, child in exploration.edges[:2]] == [
+                PendingSet([nine, elsewhere]), PendingSet([ten, elsewhere]),
+            ]
+
+
+def test_continuation_start_over_the_psi_cap_with_an_empty_body():
+    # A continuation's empty body adds nothing to psi, but a start over the
+    # cap has its commit turned away all the same.
+    for contract, packed in _both_encodings():
+        start = Configuration(contract, "A", Body(EMPTY_PSI, "B"), PendingSet([PendingEvent(0, 5, "B", "C")] * 5))
+        for _, exploration, labels in _search_from(start, mu.ExplorationLimits(400, 40, 3), packed):
+            assert labels == []
+            assert len(exploration.packed) == 1
+            assert exploration.pruned == {"psi": 1, "clock": 0, "configs": 0}
 
 
 def test_explore_from_a_start_agrees_with_reference():
