@@ -14,6 +14,7 @@ from .errors import (
     NotDIError,
     StipulaSyntaxError,
 )
+from .forward import ExplorationLimits, explore
 from .fragments import FragmentSet, classify, init_ev
 from .minsky import (
     DecJump,
@@ -34,13 +35,11 @@ from .minsky import (
 )
 from .reachability import (
     CoverBasis,
-    ExplorationLimits,
     Verdict,
     bounded_reach,
     config_leq,
     decide_coverable,
     event_target,
-    explore,
     minimize_basis,
     pred_basis,
     reachable_states,
@@ -65,7 +64,6 @@ from .semantics import (
     run_random,
     successors,
     trace_json,
-    trace_payload,
 )
 from .syntax import (
     ClauseId,

@@ -2,11 +2,9 @@
 
 Two routes:
 
-* `bounded_reach` - breadth-first forward search, any contract, any mode.
-  A semi-decision: it answers Reachable with a witness or Unknown, never
-  Unreachable.  No rule reads the clock, so the search deduplicates over
-  the quotient (state, sigma, psi); each configuration keeps the clock of
-  the first path that reaches it, and a witness is its BFS-tree path.
+* `bounded_reach` - the breadth-first search of `forward`, any contract,
+  any mode.  A semi-decision: it answers Reachable with a witness, the
+  search's BFS-tree path, or Unknown, never Unreachable.
 
 * `decide_coverable` - the complete backward procedure for
   determinate-instantaneous (DI) contracts.  Configurations of a DI
@@ -24,52 +22,31 @@ contracts, forward-search verdicts (Reachable/Unknown) elsewhere.
 
 from __future__ import annotations
 
-import functools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from . import fragments
 from .errors import DifferentContractsError, NotDIError
+# `bounded_reach`, `reachable_states` and `unreachable_clauses` call
+# `explore` through this module's name, where perfbench/tracer.py wraps it.
+from .forward import ExplorationLimits, explore
 from .semantics import (
     EMPTY_PSI,
     Body,
     Configuration,
     Label,
     Mode,
-    PackedStepTable,
     PendingEvent,
     PendingSet,
     Quoted,
-    STATECHANGE,
-    TICK,
-    StepTable,
     Trace,
     TraceStep,
-    decrement,
-    initial_config,
     step_texts,
-    trace_payload,
 )
 # Kept importable: perfbench/tracer.py wraps `reachability.successors`.
 from .semantics import successors  # noqa: F401
 from .syntax import ClauseId, Contract, EventDecl, StateName, validate
-
-
-@dataclass(frozen=True)
-class ExplorationLimits:
-    """Caps for the forward search: visited configurations, ticks along the
-    first BFS path to a configuration, and pending-multiset size.  All
-    strictly positive.  `explore` never revisits a configuration by a later
-    path with fewer ticks; that is sound, as it can only add UNKNOWNs."""
-
-    max_configs: int = 1_000_000
-    max_clock: int = 1_000
-    max_psi: int = 64
-
-    def __post_init__(self):
-        if min(self.max_configs, self.max_clock, self.max_psi) <= 0:
-            raise ValueError("exploration limits must be strictly positive")
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -402,316 +379,6 @@ def _fire_target(contract: Contract, ev: EventDecl) -> Configuration:
     return Configuration(contract, ev.source, None, PendingSet([inst]), 0)
 
 
-# ---------------------------------------------------------------------------
-# Forward exploration
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Exploration:
-    """Result of a breadth-first forward search over the configuration graph
-    up to clocks.  Node i is the configuration (state, sigma, psi) kept as
-    `packed[i]` in the ids of `table`, psi a tuple or an int as the table
-    encodes it (`table.size` counts it), with clock `clocks[i]`, the ticks
-    along its path in the BFS tree `parents`.  `complete` means no cap
-    pruned anything, so the nodes are the entire reachable quotient space.
-
-    `configs`, `config` and `path` build configurations on demand, each
-    node at most once and by one rule for both encodings: node 0 is `root`,
-    the start configuration at clock 0, and every other node is its tree
-    parent's configuration stepped by the rule on its tree edge (`step`).
-    `config` replays down from the nearest built ancestor and `configs`
-    builds in index order, where a parent precedes its children, so no
-    result depends on the order of the calls.  `path` keeps each node's
-    step, so paths share them, and the path of each node asked for or
-    branched off from.
-    `edges`, when `explore` records them, holds every step of each expanded
-    node in label-text order, to a new node or a visited one.  `pruned`
-    counts, per limit, the steps to unvisited configurations that the limit
-    turned away."""
-
-    table: StepTable
-    root: Configuration
-    packed: list[tuple]
-    clocks: list[int]
-    parents: list[tuple[int, Label] | None]
-    edges: list[tuple[int, Label, int]]
-    complete: bool = False
-    limit_hit: str | None = None
-    pruned: dict[str, int] = field(default_factory=lambda: {"psi": 0, "clock": 0, "configs": 0})
-    # Node -> its configuration, node -> its TraceStep, and node -> its
-    # path, as built; and each event a tick lowered -> its lowered copy.
-    _nodes: dict[int, Configuration] = field(init=False, repr=False, compare=False)
-    _steps: dict[int, TraceStep] = field(default_factory=dict, init=False, repr=False, compare=False)
-    _paths: dict[int, tuple] = field(default_factory=lambda: {0: ()}, init=False, repr=False, compare=False)
-    _lowered: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._nodes = {0: self.root}
-
-    def step(self, cfg: Configuration, label: Label, key: tuple, clock: int) -> Configuration:
-        """The configuration that the move `label` from `cfg` reaches, whose
-        packed key is `key`, with clock `clock`.  A call keeps psi and takes
-        the key's continuation; a firing takes it too and removes one copy of
-        the event; a state change commits sigma; a tick lowers psi."""
-        contract, psi = cfg.contract, cfg.psi
-        if label is TICK:
-            return Configuration(contract, cfg.state, None, decrement(psi, self._lowered), clock)
-        if label is STATECHANGE:
-            body = cfg.sigma
-            return Configuration(contract, body.target, None, psi.union(body.events), clock)
-        sigma = self.table.sigmas[key[1]]
-        if label.kind == "event":
-            psi = psi.remove_one(tuple.__new__(PendingEvent, (0, label.line, cfg.state, sigma.target)))
-        return Configuration(contract, cfg.state, sigma, psi, clock)
-
-    @functools.cached_property
-    def configs(self) -> list[Configuration]:
-        """Every node as a configuration, built on first access, in index
-        order."""
-        nodes, parents, packed, clocks, step = self._nodes, self.parents, self.packed, self.clocks, self.step
-        out = [self.root]
-        for node in range(1, len(packed)):
-            cfg = nodes.get(node)
-            if cfg is None:
-                parent, label = parents[node]
-                cfg = nodes[node] = step(out[parent], label, packed[node], clocks[node])
-            out.append(cfg)
-        return out
-
-    def config(self, node: int) -> Configuration:
-        """Node `node` as a configuration, built on first use from its
-        nearest built ancestor."""
-        nodes = self._nodes
-        cfg = nodes.get(node)
-        if cfg is None:
-            parents, below = self.parents, []
-            while cfg is None:
-                below.append(node)
-                node = parents[node][0]
-                cfg = nodes.get(node)
-            packed, clocks, step = self.packed, self.clocks, self.step
-            for node in reversed(below):
-                cfg = nodes[node] = step(cfg, parents[node][1], packed[node], clocks[node])
-        return cfg
-
-    def visited_states(self) -> frozenset[StateName]:
-        """States reachable per the reachability definition: some visited
-        configuration has that state and an empty continuation."""
-        return frozenset(state for state, sigma, _ in self.packed if sigma is None)
-
-    def path(self, node: int) -> tuple[TraceStep, ...]:
-        """The steps of the tree path from the start configuration to
-        `node`: a run of the rules, with true clocks."""
-        out = self._paths.get(node)
-        if out is not None:
-            return out
-        steps, parents, paths = self._steps, self.parents, self._paths
-        # The nodes up to the first one with a step, from the top down, so
-        # each is built from its parent.
-        below, top = [], node
-        while parents[top] is not None and top not in steps:
-            below.append(top)
-            top = parents[top][0]
-        # The top's configuration is built: it is the root or has a step.
-        nodes, packed, clocks, new_step = self._nodes, self.packed, self.clocks, tuple.__new__
-        cfg, new = nodes[top], []
-        for child in reversed(below):
-            label, parent_cfg = parents[child][1], cfg
-            cfg = nodes.get(child)
-            if cfg is None:
-                cfg = nodes[child] = self.step(parent_cfg, label, packed[child], clocks[child])
-            step = steps[child] = new_step(TraceStep, (label, cfg))
-            new.append(step)
-        # The top's own path, kept where a later path may branch off again.
-        prefix = paths.get(top)
-        if prefix is None:
-            above, up = [], top
-            while parents[up] is not None:
-                above.append(steps[up])
-                up = parents[up][0]
-            above.reverse()
-            prefix = paths[top] = tuple(above)
-        out = paths[node] = prefix + tuple(new)
-        return out
-
-
-def explore(
-    contract: Contract,
-    mode: Mode = Mode.TICK,
-    limits: ExplorationLimits = ExplorationLimits(),
-    record_edges: bool = False,
-    target_state: StateName | None = None,
-    start: Configuration | None = None,
-) -> tuple[Exploration, int | None]:
-    """BFS from the initial configuration (or `start`, with its clock reset
-    to 0) with a visited set over (state, sigma, psi); a configuration keeps
-    the clock of the first path that reaches it.  Successors expand in
-    lexicographic label order, so witnesses are deterministic.  A step to
-    an already visited configuration is an edge, never a pruning: the caps
-    apply to new configurations only.  Returns the exploration and, when
-    `target_state` is given and some visited configuration has that state
-    with an empty continuation, its node.
-
-    The search steps on `StepTable.for_search` of this contract, start,
-    mode and psi cap, and expands each node by its kind in one loop.  A
-    continuation's commit alone adds to psi or empties sigma, so only it
-    meets the target test, and the psi cap when its body is not empty.  An
-    idle node's firings preempt its calls and its tick, the one step that
-    meets the clock cap.  Every step from a start over the psi cap meets
-    that cap too."""
-    start = start if start is not None else initial_config(contract)
-    max_configs, max_clock, max_psi = limits.max_configs, limits.max_clock, limits.max_psi
-    table = StepTable.for_search(contract, start, mode, max_psi)
-    root = Configuration(contract, start.state, start.sigma, start.psi, 0)
-    exploration = Exploration(table, root, [table.start], [0], [None], [])
-    if target_state == start.state and start.sigma is None:
-        return exploration, 0
-    packed, clocks = exploration.packed, exploration.clocks
-    parents, edges, pruned = exploration.parents, exploration.edges, exploration.pruned
-    # The loop commits, sizes, fires and ticks psi inline, an int or a sorted
-    # tuple as the table encodes it: as table methods, the same steps made
-    # the `forward_reach` benchmark slower.
-    ints = isinstance(table, PackedStepTable)
-    K, FULL, sigma_parts = table.K, PackedStepTable.FULL, table.sigma_parts
-    fires, fire_of, source = table._fires, table._fire, table.shape_source
-    masks, keep, ranked, rank = (table.masks, table.keep, table._ranked, table._rank) if ints else (None,) * 4
-    compiled, compile_calls = table.calls, table.compile_calls
-    # Cleared after the start; a continuation start over the cap ends the search.
-    check_all = table.size(table.start[2]) > max_psi
-    index = {table.start: 0}
-    # One lookup either finds a key or enters it; a key turned away is
-    # taken out again.
-    lookup = index.setdefault
-
-    def turn_away(key: tuple, limit: str) -> tuple[Exploration, None]:
-        del index[key]
-        exploration.limit_hit = limit
-        pruned[limit] += 1
-        return exploration, None
-
-    queue = deque([0])
-    while queue:
-        node = queue.popleft()
-        state, sigma, psi = packed[node]
-        if sigma is not None:
-            # Every admitted psi but the start's is within the cap, so an
-            # empty body, as a firing's, needs no test.
-            target, body = sigma_parts[sigma]
-            if body:
-                psi = psi + body if ints else tuple(sorted(psi + body))
-            key = (target, None, psi)
-            child = len(packed)
-            known = lookup(key, child)
-            if known != child:
-                if record_edges:
-                    edges.append((node, STATECHANGE, known))
-            elif (body or check_all) and (psi % FULL if ints else len(psi)) > max_psi:
-                turn_away(key, "psi")
-            elif child >= max_configs:
-                return turn_away(key, "configs")
-            else:
-                packed.append(key)
-                clocks.append(clocks[node])
-                parents.append((node, STATECHANGE))
-                if record_edges:
-                    edges.append((node, STATECHANGE, child))
-                if target == target_state:
-                    return exploration, child
-                queue.append(child)
-            continue
-        clock = clocks[node]
-        # Firings, one per distinct firable event in label-text order,
-        # preempt the calls and the tick.  In an int, the state's mask finds
-        # them; in a tuple, they are the delay-0 entries with that source.
-        if ints:
-            firing = psi & masks.get(state, 0) and (ranked.get(state) or rank(state))
-        else:
-            firing = None
-            for e in psi:
-                if e >= K:
-                    break
-                if source[e] == state:
-                    if firing is None:
-                        firing = [e]
-                    elif firing[-1] != e:
-                        firing.append(e)
-            if firing and len(firing) > 1:
-                firing.sort(key=(table.shape_rank or table._rank_shapes()).__getitem__)
-        if firing:
-            for item in firing:
-                if ints:
-                    field, unit, shape = item
-                    if not psi & field:
-                        continue
-                    rest = psi - unit
-                else:
-                    shape, i = item, psi.index(item)
-                    rest = psi[:i] + psi[i + 1 :]
-                label, fire = fires[shape] or fire_of(shape)
-                key = (state, fire, rest)
-                child = len(packed)
-                known = lookup(key, child)
-                if known != child:
-                    if record_edges:
-                        edges.append((node, label, known))
-                elif check_all and (rest % FULL if ints else len(rest)) > max_psi:
-                    turn_away(key, "psi")
-                elif child >= max_configs:
-                    return turn_away(key, "configs")
-                else:
-                    packed.append(key)
-                    clocks.append(clock)
-                    parents.append((node, label))
-                    if record_edges:
-                        edges.append((node, label, child))
-                    queue.append(child)
-            check_all = False
-            continue
-        calls, ticks = compiled.get(state) or compile_calls(state)
-        for label, step in calls:
-            key = (state, step, psi)
-            child = len(packed)
-            known = lookup(key, child)
-            if known != child:
-                if record_edges:
-                    edges.append((node, label, known))
-            elif check_all:  # a call keeps the start's psi, over the cap
-                turn_away(key, "psi")
-            elif child >= max_configs:
-                return turn_away(key, "configs")
-            else:
-                packed.append(key)
-                clocks.append(clock)
-                parents.append((node, label))
-                if record_edges:
-                    edges.append((node, label, child))
-                queue.append(child)
-        if ticks:
-            key = (state, None, (psi >> 8) & keep if ints else tuple([e - K for e in psi if e >= K]))
-            child = len(packed)
-            known = lookup(key, child)
-            if known != child:
-                if record_edges:
-                    edges.append((node, TICK, known))
-            elif check_all and (key[2] % FULL if ints else len(key[2])) > max_psi:
-                turn_away(key, "psi")
-            elif clock >= max_clock:
-                turn_away(key, "clock")
-            elif child >= max_configs:
-                return turn_away(key, "configs")
-            else:
-                packed.append(key)
-                clocks.append(clock + 1)
-                parents.append((node, TICK))
-                if record_edges:
-                    edges.append((node, TICK, child))
-                queue.append(child)
-        check_all = False
-    exploration.complete = exploration.limit_hit is None
-    return exploration, None
-
-
 def bounded_reach(
     contract: Contract,
     target_state: StateName,
@@ -821,17 +488,9 @@ def unreachable_clauses(
     return verdicts
 
 
-def verdict_payload(clause: ClauseId, verdict: Verdict) -> dict:
-    """JSON-ready form of a per-clause verdict."""
-    out = {"clause": clause.text(), "verdict": verdict.status}
-    if verdict.witness is not None:
-        out["witness"] = trace_payload(verdict.witness)
-    return out
-
-
 def verdicts_json(verdicts: Iterable[tuple[ClauseId, Verdict]]) -> str:
-    """The JSON text of the list of `verdict_payload`s of `verdicts`, in
-    order, compact, written in one pass without the payloads."""
+    """The JSON text of `verdicts`, in order, compact, written in one pass:
+    per verdict its clause text, its status and any witness's steps."""
     quoted = Quoted()
     texts = []
     for clause, verdict in verdicts:

@@ -22,9 +22,9 @@ No rule reads the clock; it is carried for trace readability only.
 the first lists the enabled rule instances unbuilt, the second builds the
 move of one.  `successors` builds every option; `random_steps` draws one
 option and builds only that.  Both emit a configuration at every step and
-hash none, so interning the parts cannot pay there.  `StepTable` compiles
-the same rules on interned ids for each forward search, which hashes every
-configuration it meets and builds configurations only for its output.
+hash none, so interning the parts cannot pay there.  The forward search,
+which hashes every configuration it meets and builds configurations only
+for its output, runs the same rules on interned ids in `forward`.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ import enum
 import json
 import random
 from dataclasses import dataclass, field
-from itertools import accumulate
-from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .syntax import Contract, EventDecl, FunctionDecl, StateName
@@ -324,173 +322,6 @@ def _take(rules: _Rules, state: StateName, psi: PendingSet, option) -> Move:
     return (STATECHANGE, target, None, psi.union(body_events), 0)
 
 
-class StepTable:
-    """The rules for one forward search, over interned ids, compiled from
-    the contract, the search's start configuration and its mode.  Build it
-    with `for_search`, which picks the encoding of psi.
-
-    A state is its name.  A continuation is an int interned on its value
-    `(body, target)`, so equal continuations share one id however they
-    arise; `sigmas[id]` is the `Body` it stands for, and the empty
-    continuation is None.  Shapes number the distinct (line, source,
-    target) triples of the contract's and the start's events in sorted
-    order.  Here psi is a sorted tuple of the ints `delay * K + shape`, so
-    packed order is `PendingSet` order.  A tick subtracts K from every entry
-    and drops those below K; the firable events are the entries below K
-    whose source is the current state.  `PackedStepTable` keeps psi as one
-    int instead.  `start` is the start configuration's packed key, and
-    `size(psi)` is the number of pending events in a packed psi.
-
-    Shapes are numbered in one pass, so K is fixed when the table is built.
-    Continuations are interned as they are met; a shape's label and fire
-    continuation, and a state's calls and tick permission, on first use;
-    the rank of the shapes, on the first node where two of them fire.  The
-    table steps and decodes nothing for the search: `reachability.explore`
-    commits, fires, calls and ticks in its own loop, and
-    `reachability.Exploration` builds each node from its tree parent by the
-    rule on its tree edge."""
-
-    # Packed psi has at most this many one-byte count fields; the largest
-    # `forward_reach` table, TA `inc_chain(12)`, has 144.
-    PACKED_FIELDS = 256
-
-    @staticmethod
-    def for_search(contract: Contract, start: Configuration, mode: Mode, max_psi: int) -> "StepTable":
-        """The table of a search from `start` whose psi cap is `max_psi`.
-        Psi is one int of one-byte count fields (`PackedStepTable`) when
-        every delay of the contract's and the start's events is 0 (I) or
-        every one is positive (TA), no count can reach 255, and the fields
-        number at most `PACKED_FIELDS`; a sorted tuple otherwise.  Mixed
-        delays (D) need a field per shape and delay but hold few pending
-        events: packed, the D encodings of inc_chain(3..10) searched
-        1.2-1.6x slower."""
-        own = start.psi if start.sigma is None else start.psi + start.sigma.events
-        pairs = [((ev.line, ev.source, ev.target), ev.time.offset) for fn in contract.functions for ev in fn.body]
-        pairs += [(ev[1:], ev.delay) for ev in own]
-        # One sort by delay gives the lowest and the highest delay, and each
-        # shape's largest delay: the last pair of a shape wins.
-        pairs.sort(key=itemgetter(1))
-        depth = dict(pairs)
-        if not pairs or pairs[0][1] or not pairs[-1][1]:
-            # Only a state change adds to psi, at most the longest body, and
-            # the search admits no psi over the cap but its start's.
-            longest = max([len(fn.body) for fn in contract.functions], default=0)
-            if start.sigma is not None:
-                longest = max(longest, len(start.sigma.events))
-            fits = max(max_psi, len(start.psi)) + longest < PackedStepTable.FULL
-            if fits and len(depth) + sum(depth.values()) <= StepTable.PACKED_FIELDS:
-                return PackedStepTable(contract, start, mode, depth)
-        return StepTable(contract, start, mode, depth)
-
-    def __init__(self, contract: Contract, start: Configuration, mode: Mode, depth: dict[tuple, int]):
-        self.contract = contract
-        self.mode = mode
-        self.sigma_ids: dict[tuple, int] = {}
-        self.sigmas: list[Body] = []  # id -> the continuation it stands for
-        self.sigma_parts: list[tuple] = []  # id -> (target, body)
-        self.calls: dict = {}  # state -> (its calls, whether it ticks)
-        self.shapes = sorted(depth)
-        self.shape_ids = dict(zip(self.shapes, range(len(self.shapes))))
-        self.shape_source = [source for _, source, _ in self.shapes]
-        self.K = max(1, len(self.shapes))
-        self._fires: list = [None] * len(self.shapes)  # shape -> (label, continuation)
-        self.shape_rank: list[int] | None = None  # shape -> `_rank_shapes()`
-        self._lay_out(depth)
-        sigma = None if start.sigma is None else self.sigma(start.sigma)
-        self.start = (start.state, sigma, self.pack(start.psi))
-
-    def _lay_out(self, depth: dict[tuple, int]):
-        """The encoding's own fields, from each shape's largest delay; the
-        tuple needs none."""
-
-    def _rank_shapes(self) -> list[int]:
-        """Each shape's rank among firable events, which sort as their label
-        texts do (`ev:10` before `ev:9`), ties in shape order: an int per
-        shape, so that `reachability.explore` sorts by a C-level key."""
-        order = sorted(range(len(self.shapes)), key=lambda i: str(self.shapes[i][0]))
-        rank = self.shape_rank = [0] * len(order)
-        for r, i in enumerate(order):
-            rank[i] = r
-        return rank
-
-    def pack(self, psi: Iterable[PendingEvent]) -> tuple[int, ...]:
-        K, ids = self.K, self.shape_ids
-        return tuple(sorted(ev.delay * K + ids[ev[1:]] for ev in psi))
-
-    size = len  # of a packed psi
-    NOTHING = ()  # the empty psi, packed
-
-    def sigma(self, body: Body) -> int:
-        parts = (body.target, self.pack(body.events) if body.events else self.NOTHING)
-        sid = self.sigma_ids.get(parts)
-        if sid is None:
-            sid = self.sigma_ids[parts] = len(self.sigmas)
-            self.sigmas.append(body)
-            self.sigma_parts.append(parts)
-        return sid
-
-    def compile_calls(self, state: StateName) -> tuple:
-        # Call labels sort as their texts do: by name, ties in declaration order.
-        fns = sorted(self.contract.by_source.get(state, ()), key=lambda fn: fn.name)
-        calls = tuple((fn.call[0], self.sigma(fn.call[1])) for fn in fns)
-        ticks = self.mode is Mode.TICK or state not in self.contract.init_ev
-        compiled = self.calls[state] = (calls, ticks)
-        return compiled
-
-    def _fire(self, shape: int) -> tuple[Label, int]:
-        line, _, target = self.shapes[shape]
-        fire = self._fires[shape] = (Label("event", None, line), self.sigma(Body(EMPTY_PSI, target)))
-        return fire
-
-
-class PackedStepTable(StepTable):
-    """A `StepTable` whose psi is one int of one-byte count fields.  Each
-    shape owns one field per delay from 0 up to its largest delay in the
-    contract or the start, the delays of one shape side by side, so a
-    firing subtracts a unit, a state change adds the packed body, and a tick
-    is `(psi >> 8) & keep`, where `keep` clears each shape's top field,
-    which receives the next shape's delay-0 count.  `for_search` admits a
-    table only if no count can reach 255, so `psi % 255` is |psi|.  Each
-    state's firable test is one mask in `masks`, and the shapes that may
-    fire there are ranked (`_rank`) when `explore` first finds the mask
-    hit."""
-
-    FULL = 255
-    NOTHING = 0
-
-    def _lay_out(self, depth: dict[tuple, int]):
-        depths = list(map(depth.__getitem__, self.shapes))
-        self.bases = list(accumulate([8 * d + 8 for d in depths], initial=0))  # shape -> its delay-0 bit
-        self.fields = self.bases.pop() // 8
-        self.keep = int.from_bytes(b"".join([b"\xff" * d + b"\0" for d in depths]), "little") if any(depths) else 0
-        # State -> the mask of the delay-0 fields of the shapes with that
-        # source: its firable test.
-        self.masks: dict[StateName, int] = {}
-        masks = self.masks
-        for source, base in zip(self.shape_source, self.bases):
-            masks[source] = masks.get(source, 0) | self.FULL << base
-        self._ranked: dict[StateName, tuple] = {}  # state -> `_rank(state)`
-
-    def pack(self, psi: Iterable[PendingEvent]) -> int:
-        bases, ids = self.bases, self.shape_ids
-        return sum([1 << (bases[ids[ev[1:]]] + 8 * ev.delay) for ev in psi])
-
-    def size(self, psi: int) -> int:
-        return psi % self.FULL
-
-    def _rank(self, state: StateName) -> tuple:
-        """Per shape that may fire at a state, (field, unit, shape), ranked
-        as the label texts sort (`ev:10` before `ev:9`), ties in shape
-        order.  Shapes are in line order, which is that order unless the
-        lines' lengths differ."""
-        bases = self.bases
-        shapes = [i for i, source in enumerate(self.shape_source) if source == state]
-        if len(shapes) > 1 and len(str(self.shapes[shapes[0]][0])) != len(str(self.shapes[shapes[-1]][0])):
-            shapes.sort(key=lambda i: str(self.shapes[i][0]))
-        ranked = self._ranked[state] = tuple([(self.FULL << bases[i], 1 << bases[i], i) for i in shapes])
-        return ranked
-
-
 def successors(cfg: Configuration, mode: Mode = Mode.TICK) -> list[tuple[Label, Configuration]]:
     """All enabled one-step transitions from `cfg`, in the order of
     `_enabled`: firable events by line-code, then functions in declaration
@@ -578,34 +409,6 @@ def run_random(
 # ---------------------------------------------------------------------------
 
 
-def _psi_json(psi: PendingSet) -> list:
-    return [[ev.delay, ev.line, ev.source, ev.target] for ev in psi]
-
-
-def _sigma_json(sigma: Continuation):
-    if sigma is None:
-        return None
-    return {"events": _psi_json(sigma.events), "target": sigma.target}
-
-
-def step_payload(step: TraceStep) -> dict:
-    """The JSON-ready form of one step: the label, the reached state, sigma,
-    psi, and the clock."""
-    cfg = step.config
-    return {
-        "label": step.label.text(),
-        "state": cfg.state,
-        "sigma": _sigma_json(cfg.sigma),
-        "psi": _psi_json(cfg.psi),
-        "clock": cfg.clock,
-    }
-
-
-def trace_payload(trace: Trace) -> list:
-    """The JSON-ready form of a trace: one object per step."""
-    return [step_payload(step) for step in trace.steps]
-
-
 # What `json.dumps` calls with its default arguments, without the cost of
 # its keyword handling, which is more than the encoding of a short name.
 _encode = json.JSONEncoder().encode
@@ -628,8 +431,8 @@ def _psi_text(psi: PendingSet, quoted: Quoted) -> str:
 
 
 def step_texts(steps: Iterable[TraceStep], quoted: Quoted) -> Iterator[str]:
-    """The JSON text of each step, as `json.dumps(step_payload(step),
-    separators=(",", ":"))` writes it, built without the payload."""
+    """The JSON text of each step, an object of its label, the reached state,
+    sigma, psi and the clock, compact as `json.dumps` writes it."""
     for label, cfg in steps:
         sigma = cfg.sigma
         sigma_text = (
@@ -644,6 +447,6 @@ def step_texts(steps: Iterable[TraceStep], quoted: Quoted) -> Iterator[str]:
 
 
 def trace_json(trace: Trace) -> str:
-    """Canonical JSON text for a trace (stable key order, compact): the text
-    of `trace_payload`, written in one pass."""
+    """Canonical JSON text for a trace (stable key order, compact): the
+    list of its `step_texts`."""
     return "[" + ",".join(step_texts(trace.steps, Quoted())) + "]"

@@ -120,6 +120,37 @@ def contract_payload(contract: Contract) -> dict:
     }
 
 
+def _psi_payload(psi: PendingSet) -> list:
+    return [[ev.delay, ev.line, ev.source, ev.target] for ev in psi]
+
+
+def step_payload(step: TraceStep) -> dict:
+    """The tree of one step: the label, the reached state, sigma, psi and
+    the clock.  The reference for `semantics.step_texts`."""
+    cfg, sigma = step.config, step.config.sigma
+    return {
+        "label": step.label.text(),
+        "state": cfg.state,
+        "sigma": None if sigma is None else {"events": _psi_payload(sigma.events), "target": sigma.target},
+        "psi": _psi_payload(cfg.psi),
+        "clock": cfg.clock,
+    }
+
+
+def trace_payload(trace: Trace) -> list:
+    """One `step_payload` per step: the reference for `trace_json`."""
+    return [step_payload(step) for step in trace.steps]
+
+
+def verdict_payload(clause: ClauseId, verdict: mu.Verdict) -> dict:
+    """The tree of one per-clause verdict: the reference for each entry of
+    `reachability.verdicts_json`."""
+    out = {"clause": clause.text(), "verdict": verdict.status}
+    if verdict.witness is not None:
+        out["witness"] = trace_payload(verdict.witness)
+    return out
+
+
 def odd_names() -> Contract:
     """A contract built in code whose names need JSON escapes: a quote, a
     backslash, control characters, a non-ASCII letter and one outside the

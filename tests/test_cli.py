@@ -13,14 +13,14 @@ import pytest
 import mustipula as mu
 from mustipula import cli, parse, render, run_random, trace_json
 from mustipula.cli import main
-from mustipula.reachability import verdict_payload, verdicts_json
+from mustipula.reachability import verdicts_json
 from mustipula.semantics import (
-    Body, Configuration, Label, PendingEvent, PendingSet, Quoted, Trace, TraceStep,
-    step_payload, step_texts, trace_payload,
+    Body, Configuration, Label, PendingEvent, PendingSet, Quoted, Trace, TraceStep, step_texts,
 )
 
 from helpers import (
     CHAIN, EMPTY, MACHINES, PINGPONG, SAMPLE, contract_payload, inc_chain, odd_names,
+    step_payload, trace_payload, verdict_payload,
 )
 
 REPO = pathlib.Path(__file__).resolve().parent.parent

@@ -14,11 +14,10 @@ import pytest
 
 import mustipula as mu
 from mustipula.errors import DifferentContractsError, InvalidContractError, NotDIError
+from mustipula.forward import Exploration, PackedStepTable, StepTable
 from mustipula.semantics import (
-    EMPTY_PSI, Body, Configuration, Mode, PackedStepTable, PendingEvent, PendingSet, StepTable,
-    TraceStep,
+    EMPTY_PSI, Body, Configuration, Mode, PendingEvent, PendingSet, TraceStep,
 )
-from mustipula.reachability import Exploration
 from mustipula.syntax import ClauseId, Contract, EventDecl, FunctionDecl, TimeExpr
 
 from helpers import (
@@ -41,6 +40,7 @@ from helpers import (
     reference_unreachable_clauses,
     sample,
     submultisets,
+    verdict_payload,
     wf_configs,
     wf_sigmas,
 )
@@ -433,6 +433,31 @@ def test_explore_counts_what_each_limit_pruned():
     assert (len(exploration.packed), exploration.limit_hit) == (60, "configs")
     assert exploration.pruned == {"psi": 4, "clock": 0, "configs": 1}
 
+
+def test_forward_queries_search_through_the_reachability_name(monkeypatch):
+    # perfbench/tracer.py times the forward search by wrapping
+    # `reachability.explore`, so each forward query must call it there, once.
+    assert mu.reachability.explore is mu.forward.explore
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return mu.forward.explore(*args, **kwargs)
+
+    monkeypatch.setattr(mu.reachability, "explore", counted)
+    contract = pingpong()
+    for mode in Mode:
+        for query in (
+            lambda: mu.bounded_reach(contract, "Q3", LIMITS, mode),
+            lambda: mu.bounded_reach(contract, "Nope", LIMITS, mode),
+            lambda: mu.reachable_states(contract, LIMITS, mode),
+            lambda: mu.unreachable_clauses(contract, LIMITS, mode),
+        ):
+            calls.clear()
+            query()
+            assert calls == [contract]
+
+
 def test_unreachable_clauses_sample():
     verdicts = mu.unreachable_clauses(sample())
     got = {ci.text(): v.status for ci, v in verdicts.items()}
@@ -517,7 +542,7 @@ def test_unreachable_clauses_pingpong_forward_fallback():
 def test_verdict_payload_schema():
     got = mu.unreachable_clauses(pingpong(), LIMITS)
     clause = next(ci for ci in got if ci.label == "ping")
-    payload = mu.reachability.verdict_payload(clause, got[clause])
+    payload = verdict_payload(clause, got[clause])
     assert payload["clause"] == "Q0 ping Q1"
     assert payload["verdict"] == "reachable"
     assert isinstance(payload["witness"], list)
@@ -1151,7 +1176,7 @@ def test_witnesses_and_fallback_verdicts_match_the_pinned_digests():
                 if verdict.status == "reachable":
                     reach[key] = _sha256(mu.trace_json(verdict.witness))
                 verdicts = mu.unreachable_clauses(contract, limits, mode)
-                payload = [mu.reachability.verdict_payload(c, v) for c, v in verdicts.items()]
+                payload = [verdict_payload(c, v) for c, v in verdicts.items()]
                 fallback[key] = _sha256(json.dumps(payload, separators=(",", ":")))
     assert reach == WITNESS_DIGESTS["bounded_reach"]
     assert fallback == WITNESS_DIGESTS["unreachable_clauses"]

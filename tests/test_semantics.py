@@ -31,6 +31,7 @@ from helpers import (
     reference_successors,
     replay_labels,
     sample,
+    trace_payload,
     wf_configs,
 )
 
@@ -404,7 +405,7 @@ def test_is_stuck_matches_ticking_out(data):
 
 def test_trace_json_schema():
     trace = replay_labels(pingpong(), GOLDEN_LABELS[:3])
-    payload = mu.trace_payload(trace)
+    payload = trace_payload(trace)
     assert [step["label"] for step in payload] == ["call:ping", "statechange", "tick"]
     assert payload[2] == {
         "label": "tick",
