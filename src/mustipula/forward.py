@@ -222,15 +222,13 @@ class Exploration:
     along its path in the BFS tree `parents`.  `complete` means no cap
     pruned anything, so the nodes are the entire reachable quotient space.
 
-    `configs`, `config` and `path` build configurations on demand, each
-    node at most once and by one rule for both encodings: node 0 is `root`,
-    the start configuration at clock 0, and every other node is its tree
-    parent's configuration stepped by the rule on its tree edge (`step`).
-    `config` replays down from the nearest built ancestor and `configs`
-    builds in index order, where a parent precedes its children, so no
-    result depends on the order of the calls.  `path` keeps each node's
-    step, so paths share them, and the path of each node asked for or
-    branched off from.
+    `config` alone builds configurations, on demand, each node at most once
+    and by one rule for both encodings: node 0 is `root`, the start
+    configuration at clock 0, and every other node is its tree parent's
+    configuration stepped by the rule on its tree edge (`step`), replayed
+    down from the nearest built ancestor, so no result depends on the order
+    of the calls.  `configs` and `path` take their nodes from `config`, and
+    `path` keeps each node's `TraceStep`, so paths through a node share it.
     `edges`, when `explore` records them, holds every step of each expanded
     node in label-text order, to a new node or a visited one.  `pruned`
     counts, per limit, the steps to unvisited configurations that the limit
@@ -245,11 +243,10 @@ class Exploration:
     complete: bool = False
     limit_hit: str | None = None
     pruned: dict[str, int] = field(default_factory=lambda: {"psi": 0, "clock": 0, "configs": 0})
-    # Node -> its configuration, node -> its TraceStep, and node -> its
-    # path, as built; and each event a tick lowered -> its lowered copy.
+    # Node -> its configuration and node -> its TraceStep, as built; and
+    # each event a tick lowered -> its lowered copy.
     _nodes: dict[int, Configuration] = field(init=False, repr=False, compare=False)
     _steps: dict[int, TraceStep] = field(default_factory=dict, init=False, repr=False, compare=False)
-    _paths: dict[int, tuple] = field(default_factory=lambda: {0: ()}, init=False, repr=False, compare=False)
     _lowered: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -273,17 +270,8 @@ class Exploration:
 
     @functools.cached_property
     def configs(self) -> list[Configuration]:
-        """Every node as a configuration, built on first access, in index
-        order."""
-        nodes, parents, packed, clocks, step = self._nodes, self.parents, self.packed, self.clocks, self.step
-        out = [self.root]
-        for node in range(1, len(packed)):
-            cfg = nodes.get(node)
-            if cfg is None:
-                parent, label = parents[node]
-                cfg = nodes[node] = step(out[parent], label, packed[node], clocks[node])
-            out.append(cfg)
-        return out
+        """Every node as a configuration, built on first access."""
+        return list(map(self.config, range(len(self.packed))))
 
     def config(self, node: int) -> Configuration:
         """Node `node` as a configuration, built on first use from its
@@ -309,37 +297,15 @@ class Exploration:
     def path(self, node: int) -> tuple[TraceStep, ...]:
         """The steps of the tree path from the start configuration to
         `node`: a run of the rules, with true clocks."""
-        out = self._paths.get(node)
-        if out is not None:
-            return out
-        steps, parents, paths = self._steps, self.parents, self._paths
-        # The nodes up to the first one with a step, from the top down, so
-        # each is built from its parent.
-        below, top = [], node
-        while parents[top] is not None and top not in steps:
-            below.append(top)
-            top = parents[top][0]
-        # The top's configuration is built: it is the root or has a step.
-        nodes, packed, clocks, new_step = self._nodes, self.packed, self.clocks, tuple.__new__
-        cfg, new = nodes[top], []
-        for child in reversed(below):
-            label, parent_cfg = parents[child][1], cfg
-            cfg = nodes.get(child)
-            if cfg is None:
-                cfg = nodes[child] = self.step(parent_cfg, label, packed[child], clocks[child])
-            step = steps[child] = new_step(TraceStep, (label, cfg))
-            new.append(step)
-        # The top's own path, kept where a later path may branch off again.
-        prefix = paths.get(top)
-        if prefix is None:
-            above, up = [], top
-            while parents[up] is not None:
-                above.append(steps[up])
-                up = parents[up][0]
-            above.reverse()
-            prefix = paths[top] = tuple(above)
-        out = paths[node] = prefix + tuple(new)
-        return out
+        steps, parents, out = self._steps, self.parents, []
+        while (link := parents[node]) is not None:
+            step = steps.get(node)
+            if step is None:
+                step = steps[node] = tuple.__new__(TraceStep, (link[1], self.config(node)))
+            out.append(step)
+            node = link[0]
+        out.reverse()
+        return tuple(out)
 
 
 def explore(

@@ -49,7 +49,7 @@ from .semantics import successors  # noqa: F401
 from .syntax import ClauseId, Contract, EventDecl, StateName, validate
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     """Outcome of a reachability question.  Unreachable is only ever
     produced by the complete DI procedure; bounded search degrades to
@@ -58,13 +58,6 @@ class Verdict:
     status: str  # "reachable" | "unreachable" | "unknown"
     witness: Trace | None = None
     detail: str | None = None
-
-    # Filled through the slots' descriptors, as semantics.Configuration is:
-    # the forward fallback builds one per clause.
-    def __init__(self, status, witness=None, detail=None):
-        _set_status(self, status)
-        _set_witness(self, witness)
-        _set_detail(self, detail)
 
     @classmethod
     def reachable(cls, witness: Trace | None = None) -> "Verdict":
@@ -80,10 +73,6 @@ class Verdict:
     def unknown(cls, detail: str | None = None) -> "Verdict":
         return cls("unknown", detail=detail)
 
-
-_set_status, _set_witness, _set_detail = (
-    Verdict.__dict__[name].__set__ for name in ("status", "witness", "detail")
-)
 
 # Verdicts are immutable, so every witness-less one can be shared.
 _REACHABLE = Verdict("reachable")
@@ -451,13 +440,13 @@ def unreachable_clauses(
 
     exploration, _ = explore(contract, mode, limits, record_edges=True)
     packed, clocks, parents = exploration.packed, exploration.clocks, exploration.parents
-    sigma_parts = exploration.table.sigma_parts
+    sigmas = exploration.table.sigmas
     # A call's clause is (source, name, target); an event's, its line-code.
     first_use: dict[tuple | int, tuple[int, Label, int]] = {}
     for edge in exploration.edges:
         node, label, child = edge
         if label.kind == "call":
-            key = (packed[node][0], label.name, sigma_parts[packed[child][1]][0])
+            key = (packed[node][0], label.name, sigmas[packed[child][1]].target)
         elif label.kind == "event":
             key = label.line
         else:

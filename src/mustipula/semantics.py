@@ -354,24 +354,18 @@ class TraceStep(NamedTuple):
     config: Configuration
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class Trace:
     """A finite run: the labelled steps taken from some start configuration.
     Each step records the configuration reached."""
 
     steps: tuple[TraceStep, ...]
 
-    def __init__(self, steps):
-        _set_steps(self, steps)
-
     def labels(self) -> list[str]:
         return [step.label.text() for step in self.steps]
 
     def __len__(self) -> int:
         return len(self.steps)
-
-
-_set_steps = Trace.__dict__["steps"].__set__
 
 
 def random_steps(

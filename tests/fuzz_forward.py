@@ -5,9 +5,12 @@ that include 252-254, where `StepTable.for_search` stops packing psi into
 one int, and searches each in both modes with `explore` and with
 `helpers.reference_explore`.  The two must agree on every configuration
 (each packed key decoded afresh, and its clock), on the BFS tree, on
-`complete` and on `limit_hit`; sampled witness paths must equal
-`helpers.reference_path`.  The script needs only the standard library and
-the package, and pytest does not collect it.
+`complete` and on `limit_hit`.  Witness paths must equal
+`helpers.reference_path`: every node's, in shuffled order, on searches of
+at most `ALL_PATHS` nodes, with `configs` built first on every other
+contract, and five sampled nodes' on larger ones; and `configs[n]` must
+be `config(n)`.  The script needs only the standard library and the
+package, and pytest does not collect it.
 
     python tests/fuzz_forward.py 200            # 200 contracts, seed 0
     python tests/fuzz_forward.py 200 --seed 7
@@ -29,6 +32,7 @@ import mustipula as mu  # noqa: E402
 from helpers import decode, reference_explore, reference_path  # noqa: E402
 
 PSI_CAPS = (1, 2, 3, 4, 6, 12, 252, 253, 254)
+ALL_PATHS = 300  # searches up to this many nodes compare every path
 
 
 def _delay(rng: random.Random, fragment: str) -> int:
@@ -55,8 +59,9 @@ def random_contract(rng: random.Random, fragment: str) -> mu.Contract:
     return mu.parse("\n".join(lines) + "\n}\n")
 
 
-def mismatch(exploration, configs, parents, complete, limit_hit) -> str | None:
-    """What differs between the search and the reference's, or None."""
+def mismatch(exploration, configs, parents, complete, limit_hit, configs_first: bool) -> str | None:
+    """What differs between the search and the reference's, or None;
+    `configs_first` builds `exploration.configs` before any path."""
     table = exploration.table
     if [decode(table, key) for key in exploration.packed] != [(c.state, c.sigma, c.psi) for c in configs]:
         return "configurations"
@@ -66,9 +71,18 @@ def mismatch(exploration, configs, parents, complete, limit_hit) -> str | None:
         return "parents"
     if (exploration.complete, exploration.limit_hit) != (complete, limit_hit):
         return f"complete/limit_hit {exploration.complete, exploration.limit_hit} != {complete, limit_hit}"
-    for node in random.Random(len(configs)).sample(range(len(configs)), min(5, len(configs))):
+    rng, nodes = random.Random(len(configs)), list(range(len(configs)))
+    if len(nodes) > ALL_PATHS:
+        nodes = rng.sample(nodes, 5)
+    else:
+        rng.shuffle(nodes)
+        if configs_first:
+            exploration.configs
+    for node in nodes:
         if exploration.path(node) != reference_path(configs, parents, node):
             return f"path to node {node}"
+    if any(cfg is not exploration.config(node) for node, cfg in enumerate(exploration.configs)):
+        return "configs and config"
     return None
 
 
@@ -85,7 +99,7 @@ def main(argv: list[str]) -> int:
         limits = mu.ExplorationLimits(rng.choice((50, 400)), rng.choice((1, 3, 40)), rng.choice(PSI_CAPS))
         for mode in mu.Mode:
             exploration, _ = mu.explore(contract, mode, limits)
-            wrong = mismatch(exploration, *reference_explore(contract, mode, limits))
+            wrong = mismatch(exploration, *reference_explore(contract, mode, limits), configs_first=n % 2 == 1)
             if wrong is not None:
                 print(f"MISMATCH in {wrong}: contract {n}, {mode}, {limits}\n{mu.render(contract)}")
                 return 1

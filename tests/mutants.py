@@ -51,11 +51,24 @@ MUTANTS = [
      "a start over the psi cap has its calls admitted"),
     (FWD, "elif clock >= max_clock:", "elif clock > max_clock:",
      "the clock cap admits one tick too many"),
+    (FWD, "clocks.append(clock + 1)", "clocks.append(clock)",
+     "a tick keeps its parent's clock"),
+    (FWD, "start.psi, 0)", "start.psi, start.clock)",
+     "a search from a start keeps the start's clock at its root"),
+    # Witnesses: `path` walks up the tree from `config`'s nodes.
+    (FWD, "out.reverse()", "pass",
+     "a path lists its steps from the node up to the start"),
+    (FWD, "(link[1], self.config(node))", "(link[1], self.config(link[0]))",
+     "a path's step records the configuration it leaves, not the one it reaches"),
+    (FWD, "step = steps.get(node)", "step = None",
+     "paths through one node build their own copies of its step"),
     # Tick-plus: no tick where an event waits to be initialised.
     (FWD, "ticks = self.mode is Mode.TICK or state not in self.contract.init_ev", "ticks = True",
      "the forward search ticks in InitEv states under tick-plus"),
     (SEM, "self.no_tick = contract.init_ev if mode is Mode.TICK_PLUS else frozenset()", "self.no_tick = frozenset()",
      "a walk ticks in InitEv states under tick-plus"),
+    (SEM, "choice(options)", "choice(options[::-1])",
+     "a seeded walk draws its steps from the options in reverse order"),
     # Pending multisets.
     (SEM, "return _sorted(self[:i] + self[i + 1 :])", "return _sorted([ev for ev in self if ev != event])",
      "remove_one drops every copy of the event"),
@@ -68,6 +81,8 @@ MUTANTS = [
      "a basis element counts as covered whatever psi it still needs"),
     (REACH, "if sid is None and not bucket[0]:", "if sid is None:",
      "every state left in an uncovered basis is marked unreachable"),
+    (REACH, "elif not covered:", "else:",
+     "a covered target with pending events marks the states of its basis unreachable"),
     (REACH, "pre -= min(pre & mask, unit)", "pre -= unit",
      "a State-Change predecessor subtracts its body without saturating"),
     (REACH, "if (vec := vec + self.units[ev[1:]]) & self.guard:", "if (vec := vec + self.units[ev[1:]]) & 0:",

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import hashlib
 import json
+import operator
 import os
 import pathlib
 import random
@@ -1081,8 +1082,9 @@ def _fallback_witnesses(contract, exploration, configs, parents):
 
 @pytest.mark.parametrize("mode", list(Mode))
 def test_paths_and_fallback_witnesses_agree_with_reference(mode):
-    # `path` shares decoded nodes and tree links across calls, so neither
-    # the order of the calls nor a built `configs` may change a path.
+    # `path` shares decoded nodes and their steps across calls, so neither
+    # the order of the calls nor a built `configs` may change a path, and a
+    # node's path extends its tree parent's with the very same steps.
     rng = random.Random(14)
     stats = Counter()
     for contract in _forward_corpus():
@@ -1095,12 +1097,17 @@ def test_paths_and_fallback_witnesses_agree_with_reference(mode):
                     assert exploration.configs == configs
                 order = list(range(len(configs)))
                 rng.shuffle(order)
+                paths = {}
                 for node in order:
-                    path = exploration.path(node)
+                    path = paths[node] = exploration.path(node)
                     assert path == want[node]
                     assert not path or path[-1].config is exploration.config(node)
                 for node, cfg in enumerate(exploration.configs):
                     assert cfg is exploration.config(node)
+                    if node:
+                        above = paths[parents[node][0]]
+                        assert len(paths[node]) == len(above) + 1
+                        assert all(map(operator.is_, paths[node], above))
             if contract.name == "Clash" or mu.classify(contract).det_instantaneous:
                 continue  # rejected by `validate`, or decided backward
             witnesses, reclocked = _fallback_witnesses(contract, exploration, configs, parents)

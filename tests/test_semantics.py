@@ -302,6 +302,11 @@ def test_configurations_and_labels_are_slotted_value_objects():
 
 
 GO_END = PendingEvent(2, 4, "Go", "End")
+GO_STEP = semantics.TraceStep(Label("call", name="go"), Configuration(None, "Go", None, PendingSet([GO_END]), 1))
+GO_STEP_TEXT = (
+    "TraceStep(label=Label(kind='call', name='go', line=None), config=Configuration(state='Go', "
+    "sigma=None, psi=(PendingEvent(delay=2, line=4, source='Go', target='End'),), clock=1))"
+)
 
 
 @pytest.mark.parametrize(
@@ -335,20 +340,32 @@ GO_END = PendingEvent(2, 4, "Go", "End")
             "ClauseId(kind='event', source='Go', label='ev_4', target='End')",
         ),
         (mu.Trace(()), ("steps",), "Trace(steps=())"),
+        (mu.Trace((GO_STEP, GO_STEP)), ("steps",), f"Trace(steps=({GO_STEP_TEXT}, {GO_STEP_TEXT}))"),
         (
             mu.Verdict("unknown", None, "psi"),
             ("status", "witness", "detail"),
             "Verdict(status='unknown', witness=None, detail='psi')",
         ),
+        (
+            mu.Verdict("reachable"),
+            ("status", "witness", "detail"),
+            "Verdict(status='reachable', witness=None, detail=None)",
+        ),
+        (
+            mu.Verdict("reachable", mu.Trace((GO_STEP,))),
+            ("status", "witness", "detail"),
+            f"Verdict(status='reachable', witness=Trace(steps=({GO_STEP_TEXT},)), detail=None)",
+        ),
     ],
     ids=[
         "event", "configuration", "configuration-defaults", "call-label", "tick-label", "clause",
-        "trace", "verdict",
+        "trace", "trace-steps", "verdict", "verdict-witness-less", "verdict-witness",
     ],
 )
 def test_value_types_keep_their_contract(value, fields, text):
-    # The hand-written __init__s of the slotted frozen types keep what the
-    # generated ones gave: fields, defaults, keywords, repr, eq and hash.
+    # The slotted frozen types keep their API, whether their __init__ is
+    # written by hand or generated: fields, defaults, keywords, repr, eq and
+    # hash.
     cls = type(value)
     assert tuple(f.name for f in dataclasses.fields(cls)) == fields
     assert repr(value) == text
