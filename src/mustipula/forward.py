@@ -219,8 +219,11 @@ class Exploration:
     verdicts.  Node i is the configuration (state, sigma, psi) kept as
     `packed[i]` in the ids of `table`, psi a tuple or an int as the table
     encodes it (`table.size` counts it), with clock `clocks[i]`, the ticks
-    along its path in the BFS tree `parents`.  `complete` means no cap
-    pruned anything, so the nodes are the entire reachable quotient space.
+    along its path in the BFS tree, kept as two flat lists: `parents[i]`
+    and `labels[i]` are its tree parent and the rule on its tree edge, None
+    at the root.  A (parent, label) pair per node would stay tracked by the
+    cyclic collector all search long.  `complete` means no cap pruned
+    anything, so the nodes are the entire reachable quotient space.
 
     `config` alone builds configurations, on demand, each node at most once
     and by one rule for both encodings: node 0 is `root`, the start
@@ -238,7 +241,8 @@ class Exploration:
     root: Configuration
     packed: list[tuple]
     clocks: list[int]
-    parents: list[tuple[int, Label] | None]
+    parents: list[int | None]
+    labels: list[Label | None]
     edges: list[tuple[int, Label, int]]
     complete: bool = False
     limit_hit: str | None = None
@@ -282,11 +286,11 @@ class Exploration:
             parents, below = self.parents, []
             while cfg is None:
                 below.append(node)
-                node = parents[node][0]
+                node = parents[node]
                 cfg = nodes.get(node)
-            packed, clocks, step = self.packed, self.clocks, self.step
+            packed, clocks, labels, step = self.packed, self.clocks, self.labels, self.step
             for node in reversed(below):
-                cfg = nodes[node] = step(cfg, parents[node][1], packed[node], clocks[node])
+                cfg = nodes[node] = step(cfg, labels[node], packed[node], clocks[node])
         return cfg
 
     def visited_states(self) -> frozenset[StateName]:
@@ -295,15 +299,15 @@ class Exploration:
         return frozenset(state for state, sigma, _ in self.packed if sigma is None)
 
     def path(self, node: int) -> tuple[TraceStep, ...]:
-        """The steps of the tree path from the start configuration to
-        `node`: a run of the rules, with true clocks."""
-        steps, parents, out = self._steps, self.parents, []
-        while (link := parents[node]) is not None:
+        """The steps of the tree path from the start configuration, node
+        0, to `node`: a run of the rules, with true clocks."""
+        steps, parents, labels, out = self._steps, self.parents, self.labels, []
+        while node:
             step = steps.get(node)
             if step is None:
-                step = steps[node] = tuple.__new__(TraceStep, (link[1], self.config(node)))
+                step = steps[node] = tuple.__new__(TraceStep, (labels[node], self.config(node)))
             out.append(step)
-            node = link[0]
+            node = parents[node]
         out.reverse()
         return tuple(out)
 
@@ -333,16 +337,18 @@ def explore(
     meets the target test, and the psi cap when its body is not empty.  An
     idle node's firings preempt its calls and its tick, the one step that
     meets the clock cap.  Every step from a start over the psi cap meets
-    that cap too."""
+    that cap too.  An admitted node adds its tree parent and rule to
+    `parents` and `labels`, and no object the collector keeps tracking."""
     start = start if start is not None else initial_config(contract)
     max_configs, max_clock, max_psi = limits.max_configs, limits.max_clock, limits.max_psi
     table = StepTable.for_search(contract, start, mode, max_psi)
     root = Configuration(contract, start.state, start.sigma, start.psi, 0)
-    exploration = Exploration(table, root, [table.start], [0], [None], [])
+    exploration = Exploration(table, root, [table.start], [0], [None], [None], [])
     if target_state == start.state and start.sigma is None:
         return exploration, 0
     packed, clocks = exploration.packed, exploration.clocks
-    parents, edges, pruned = exploration.parents, exploration.edges, exploration.pruned
+    parents, labels = exploration.parents, exploration.labels
+    edges, pruned = exploration.edges, exploration.pruned
     # The loop commits, sizes, fires and ticks psi inline, an int or a sorted
     # tuple as the table encodes it: as table methods, the same steps made
     # the `forward_reach` benchmark slower.
@@ -387,7 +393,8 @@ def explore(
             else:
                 packed.append(key)
                 clocks.append(clocks[node])
-                parents.append((node, STATECHANGE))
+                parents.append(node)
+                labels.append(STATECHANGE)
                 if record_edges:
                     edges.append((node, STATECHANGE, child))
                 if target == target_state:
@@ -436,7 +443,8 @@ def explore(
                 else:
                     packed.append(key)
                     clocks.append(clock)
-                    parents.append((node, label))
+                    parents.append(node)
+                    labels.append(label)
                     if record_edges:
                         edges.append((node, label, child))
                     queue.append(child)
@@ -457,7 +465,8 @@ def explore(
             else:
                 packed.append(key)
                 clocks.append(clock)
-                parents.append((node, label))
+                parents.append(node)
+                labels.append(label)
                 if record_edges:
                     edges.append((node, label, child))
                 queue.append(child)
@@ -477,7 +486,8 @@ def explore(
             else:
                 packed.append(key)
                 clocks.append(clock + 1)
-                parents.append((node, TICK))
+                parents.append(node)
+                labels.append(TICK)
                 if record_edges:
                     edges.append((node, TICK, child))
                 queue.append(child)

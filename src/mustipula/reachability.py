@@ -439,7 +439,7 @@ def unreachable_clauses(
         return verdicts
 
     exploration, _ = explore(contract, mode, limits, record_edges=True)
-    packed, clocks, parents = exploration.packed, exploration.clocks, exploration.parents
+    packed, clocks = exploration.packed, exploration.clocks
     sigmas = exploration.table.sigmas
     # A call's clause is (source, name, target); an event's, its line-code.
     first_use: dict[tuple | int, tuple[int, Label, int]] = {}
@@ -464,7 +464,7 @@ def unreachable_clauses(
         # A tree edge's child is a node; any other edge is stepped from its
         # source, since a call or event step keeps the clock, and
         # clocks[child] is the clock of another path.
-        if parents[child] == (node, label):
+        if exploration.parents[child] == node and exploration.labels[child] == label:
             cfg = exploration.config(child)
         else:
             cfg = exploration.step(exploration.config(node), label, packed[child], clocks[node])

@@ -29,7 +29,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import mustipula as mu  # noqa: E402
-from helpers import decode, reference_explore, reference_path  # noqa: E402
+from helpers import decode, links, reference_explore, reference_path  # noqa: E402
 
 PSI_CAPS = (1, 2, 3, 4, 6, 12, 252, 253, 254)
 ALL_PATHS = 300  # searches up to this many nodes compare every path
@@ -67,7 +67,7 @@ def mismatch(exploration, configs, parents, complete, limit_hit, configs_first: 
         return "configurations"
     if exploration.clocks != [c.clock for c in configs]:
         return "clocks"
-    if exploration.parents != parents:
+    if links(exploration) != parents:
         return "parents"
     if (exploration.complete, exploration.limit_hit) != (complete, limit_hit):
         return f"complete/limit_hit {exploration.complete, exploration.limit_hit} != {complete, limit_hit}"

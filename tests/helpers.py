@@ -510,6 +510,15 @@ def decode(table, key: tuple) -> tuple:
     return state, None if sigma is None else table.sigmas[sigma], PendingSet(events)
 
 
+def links(exploration) -> list:
+    """`exploration`'s BFS tree in `reference_explore`'s form: None at the
+    root, then per node its (tree parent, label on its tree edge), read from
+    the search's two lists."""
+    parents, labels = exploration.parents, exploration.labels
+    assert len(parents) == len(labels) == len(exploration.packed)
+    return [None if parent is None and label is None else (parent, label) for parent, label in zip(parents, labels)]
+
+
 def reference_path(configs, parents, node: int) -> tuple[TraceStep, ...]:
     """The tree path to `node` over `reference_explore`'s configs and
     parents, walked afresh on every call."""

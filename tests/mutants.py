@@ -58,8 +58,10 @@ MUTANTS = [
     # Witnesses: `path` walks up the tree from `config`'s nodes.
     (FWD, "out.reverse()", "pass",
      "a path lists its steps from the node up to the start"),
-    (FWD, "(link[1], self.config(node))", "(link[1], self.config(link[0]))",
+    (FWD, "(labels[node], self.config(node))", "(labels[node], self.config(parents[node]))",
      "a path's step records the configuration it leaves, not the one it reaches"),
+    (FWD, "labels.append(TICK)", "labels.append(STATECHANGE)",
+     "a tick's tree edge is recorded as a state change"),
     (FWD, "step = steps.get(node)", "step = None",
      "paths through one node build their own copies of its step"),
     # Tick-plus: no tick where an event waits to be initialised.
@@ -96,6 +98,8 @@ MUTANTS = [
 EQUIVALENT = [
     (REACH, "((vec | guard) - b) & guard == guard", "(vec - b) & guard == 0",
      "a covered check that does not OR in the guard is the same test while no operand has a guard bit set"),
+    (FWD, "out.append(step)\n            node = parents[node]", "out.append(step)\n            node = parents[node] if node > 1 else 0",
+     "a path that steps from node 1 straight to the root takes the same step, since node 1's tree parent is the root"),
 ]
 
 

@@ -28,6 +28,7 @@ from helpers import (
     decode,
     di_corpus,
     inc_chain,
+    links,
     machine_suite,
     pingpong,
     psis_upto,
@@ -821,7 +822,7 @@ def test_forward_engine_agrees_with_reference(mode):
             configs, parents, complete, limit_hit = reference_explore(contract, mode, limits)
             exploration, _ = mu.explore(contract, mode, limits)
             assert exploration.configs == configs
-            assert exploration.parents == parents
+            assert links(exploration) == parents
             assert (exploration.complete, exploration.limit_hit) == (complete, limit_hit)
             stats[limit_hit] += 1
             if limits is wide:
@@ -850,7 +851,7 @@ def test_step_table_agrees_with_successors(mode):
         kinds[type(exploration.table)] += 1
         stats[exploration.limit_hit] += 1
         assert exploration.pruned["clock"] == 0
-        configs, clocks, parents = exploration.configs, exploration.clocks, exploration.parents
+        configs, clocks, parents = exploration.configs, exploration.clocks, links(exploration)
         edges = {}
         for node, label, child in exploration.edges:
             edges.setdefault(node, []).append((label, child))
@@ -900,7 +901,7 @@ def test_step_table_encoding_follows_the_delays(mode):
             assert isinstance(table, PackedStepTable) == packed, contract.name
             assert isinstance(table.start[2], int) == packed
             assert exploration.configs == configs
-            assert exploration.parents == parents
+            assert links(exploration) == parents
             assert (exploration.complete, exploration.limit_hit) == (complete, limit_hit)
             for key, cfg in zip(exploration.packed, configs):
                 decoded = decode(table, key)
@@ -954,7 +955,7 @@ def test_packed_search_from_a_start_over_the_psi_cap():
                 exploration, _ = mu.explore(contract, mode, limits, start=start)
                 assert isinstance(exploration.table, PackedStepTable) == packed
                 assert exploration.configs == configs
-                assert exploration.parents == parents
+                assert links(exploration) == parents
                 assert (exploration.complete, exploration.limit_hit) == (complete, limit_hit)
                 if not fires or limits.max_psi == 3:
                     assert exploration.pruned["psi"] > 0 and len(configs) == 1
@@ -986,7 +987,7 @@ def _search_from(start, limits, packed):
         table = exploration.table
         assert isinstance(table, PackedStepTable) == packed
         assert exploration.configs == configs
-        assert exploration.parents == parents
+        assert links(exploration) == parents
         assert (exploration.complete, exploration.limit_hit) == (complete, limit_hit)
         for key, cfg in zip(exploration.packed, configs):
             assert decode(table, key) == (cfg.state, cfg.sigma, cfg.psi)
@@ -1046,7 +1047,7 @@ def test_explore_from_a_start_agrees_with_reference():
                 configs, parents, complete, limit_hit = reference_explore(contract, mode, limits, start)
                 exploration, _ = mu.explore(contract, mode, limits, start=start)
                 assert exploration.configs == configs
-                assert exploration.parents == parents
+                assert links(exploration) == parents
                 assert (exploration.complete, exploration.limit_hit) == (complete, limit_hit)
                 # The search's table numbers the declared shapes and its start's.
                 own = start.psi + (start.sigma.events if start.sigma else ())
@@ -1213,6 +1214,23 @@ def test_fallback_witnesses_decode_each_node_once(monkeypatch):
     # Building once per witness step took 8,169 derivations.
     assert (steps, derivations) == (8169, 1074)
     assert kinds == {StepTable, PackedStepTable}
+
+
+def test_a_search_keeps_no_tracked_object_per_node():
+    # The BFS tree is two flat lists, of ints and of shared labels, and the
+    # keys hold only strings, ints and tuples of them, so once collected a
+    # finished search leaves the cyclic collector far fewer objects to
+    # track than it has nodes: the library never pauses the collector.
+    for fragment in ("i", "ta", "d"):
+        contract = mu.encode(inc_chain(8), fragment)
+        gc.collect()
+        before = len(gc.get_objects())
+        exploration, node = mu.explore(contract, target_state="QF")
+        gc.collect()
+        grown, nodes = len(gc.get_objects()) - before, len(exploration.packed)
+        assert node is not None and nodes > 1_000
+        assert grown < nodes / 4, (fragment, grown, nodes)
+        del exploration
 
 
 def test_a_decoded_search_is_freed_without_the_collector():
